@@ -196,7 +196,7 @@ class BenchArtifact
         return out;
     }
 
-    /** Guards sections_: rows can arrive from RunPool workers. */
+    /** Guards sections_: rows can arrive from Supervisor workers. */
     std::mutex mutex_;
     bool enabled_ = false;
     ::pid_t ownerPid_ = 0;

@@ -80,7 +80,7 @@ struct FuzzOptions
      * corruption -- the campaign validates the checker itself.
      */
     std::uint64_t injectPeriod = 0;
-    /** Worker threads (0 = RunPool default). */
+    /** Worker threads (0 = defaultJobs()). */
     unsigned jobs = 0;
     /** Directory for failing-seed repro artifacts; empty disables. */
     std::string artifactDir;
@@ -88,7 +88,8 @@ struct FuzzOptions
      * a crashing or hanging seed is quarantined as a seed failure
      * instead of killing the campaign. */
     bool isolate = false;
-    /** Per-run watchdog deadline in ms (0 = derived). */
+    /** Per-run watchdog deadline in ms (0 = derived); applies
+     * only with isolate. */
     std::uint64_t jobTimeoutMs = 0;
     /** Campaign journal path: completed runs are resumed across
      * invocations; empty disables. */
@@ -207,7 +208,7 @@ std::string reproCommand(std::uint64_t seed, const FuzzOptions &opt);
 
 /**
  * Run the campaign: sample every seed, fan the run families out
- * across the RunPool, evaluate the invariants, and (when
+ * across the Supervisor, evaluate the invariants, and (when
  * opt.artifactDir is set) write one repro artifact per failing
  * seed. Progress and failures are narrated to @p log when given.
  */

@@ -5,7 +5,7 @@
  * Answers "where does the *simulator's own* wall-clock go?" — the
  * attribution layer ROADMAP item 1's hot-loop speed campaign needs
  * before any rewrite, and the metrics source the campaign
- * infrastructure (RunPool, supervisor, caches, snapshots) reports
+ * infrastructure (supervisor, caches, snapshots) reports
  * through progress lines and --stats-json.
  *
  * Three primitives:
@@ -39,7 +39,7 @@
  * Thread safety: all mutable state lives in thread-local blocks
  * registered with a global registry; aggregation (snapshot(), trace
  * export) walks the registry under its mutex and reads the slots with
- * relaxed atomics. Threads that exit (RunPool workers) merge their
+ * relaxed atomics. Threads that exit (supervisor workers) merge their
  * totals into a retired pool first, so nothing is lost.
  *
  * Determinism contract: telemetry is write-only observation — nothing
@@ -82,7 +82,7 @@ enum class Phase : std::uint8_t {
     CheckpointSave,  //!< periodic checkpoint serialization + publish
 
     // Campaign infrastructure.
-    WorkerRun,       //!< RunPool worker executing one job end to end
+    WorkerRun,       //!< one job executed end to end (executeJob)
     CacheLookup,     //!< result-cache lookup (memory + disk tiers)
     CacheInsert,     //!< result-cache insert (memory + disk write)
     SnapshotWrite,   //!< snapshot serialize-to-file + fsync + rename

@@ -39,12 +39,12 @@ SimResult runSmtPair(const SimConfig &cfg, TlbPrefetcher *prefetcher,
                      const ServerWorkloadParams &a,
                      const ServerWorkloadParams &b);
 
-// --- batch API (parallel, cached; see sim/run_pool.hh) ---
+// --- batch API (parallel, cached; see sim/supervisor.hh) ---
 
 /**
  * Run a heterogeneous batch under the campaign supervisor (result
- * cache, fault containment, watchdog, retries, journal -- policy
- * from Supervisor::defaultOptions()). One outcome per job, in
+ * cache, fault containment, retries, journal, and the watchdog
+ * under --isolate -- policy from Supervisor::defaultOptions()). One outcome per job, in
  * submission order; results are bit-identical to running each job
  * serially.
  */

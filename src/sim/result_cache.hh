@@ -17,8 +17,8 @@
  * schema version and the full key, and corrupt or stale files are
  * ignored, never fatal.
  *
- * All entry points are thread-safe: RunPool workers insert results
- * concurrently.
+ * All entry points are thread-safe: the Supervisor's thread-mode
+ * workers look up and insert results concurrently.
  */
 
 #ifndef MORRIGAN_SIM_RESULT_CACHE_HH
@@ -88,7 +88,7 @@ class ResultCache
      * empty: memory-only). */
     ResultCache();
 
-    /** The process-wide instance used by RunPool. */
+    /** The process-wide instance the Supervisor uses. */
     static ResultCache &global();
 
     /**

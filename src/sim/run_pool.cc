@@ -5,19 +5,15 @@
 #include <atomic>
 #include <cctype>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "common/logging.hh"
 #include "common/snapshot.hh"
 #include "common/telemetry.hh"
-#include "sim/result_cache.hh"
 #include "sim/simulator.hh"
 
 namespace morrigan
@@ -218,32 +214,14 @@ defaultJobs()
     return hw > 0 ? hw : 1;
 }
 
-RunPool::RunPool(unsigned jobs, bool use_cache)
-    : requestedJobs_(jobs), useCache_(use_cache)
-{
-}
-
-unsigned
-RunPool::jobs() const
-{
-    return requestedJobs_ > 0 ? requestedJobs_ : defaultJobs();
-}
-
-RunPool &
-RunPool::global()
-{
-    static RunPool pool;
-    return pool;
-}
-
 void
-RunPool::setDefaultJobs(unsigned jobs)
+setDefaultJobs(unsigned jobs)
 {
     defaultJobsOverride.store(jobs);
 }
 
 void
-RunPool::setWarmupImageDir(std::string dir)
+setWarmupImageDir(std::string dir)
 {
     std::lock_guard<std::mutex> lock(warmupDirMutex);
     warmupDirOverride = std::move(dir);
@@ -251,7 +229,7 @@ RunPool::setWarmupImageDir(std::string dir)
 }
 
 std::string
-RunPool::warmupImageDir()
+warmupImageDir()
 {
     {
         std::lock_guard<std::mutex> lock(warmupDirMutex);
@@ -261,113 +239,6 @@ RunPool::warmupImageDir()
     if (const char *env = std::getenv("MORRIGAN_WARMUP_CACHE"))
         return env;
     return {};
-}
-
-std::vector<ExperimentOutput>
-RunPool::runAll(const std::vector<ExperimentJob> &batch)
-{
-    std::vector<ExperimentOutput> out(batch.size());
-    std::vector<std::string> keys(batch.size());
-
-    // Plan the batch: serve cache hits immediately, run one
-    // representative per distinct key, and remember which jobs can
-    // copy a representative's result afterwards.
-    ResultCache &cache = ResultCache::global();
-    std::unordered_map<std::string, std::size_t> representative;
-    std::vector<std::size_t> work;
-    std::vector<std::pair<std::size_t, std::size_t>> copies;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        const ExperimentJob &job = batch[i];
-        if (useCache_ && job.cacheable()) {
-            keys[i] = experimentKey(job.cfg, job.kind, job.workload,
-                                    job.smt ? &job.smtWorkload
-                                            : nullptr);
-            if (cache.lookup(keys[i], out[i].result))
-                continue;
-            auto [it, fresh] =
-                representative.try_emplace(keys[i], i);
-            if (!fresh) {
-                copies.emplace_back(i, it->second);
-                continue;
-            }
-        }
-        work.push_back(i);
-    }
-
-    // Warmup-image reuse: cacheable jobs that must actually run get
-    // a snapshot path keyed by warmupKey(), so jobs sharing a
-    // (workload, prefetcher, system) triple warm up once. Concurrent
-    // writers of one key are benign: publication is atomic and every
-    // writer produces the identical image.
-    const std::string warmup_dir = warmupImageDir();
-    if (!warmup_dir.empty()) {
-        // Best-effort: a dir that cannot be created just means the
-        // image publish warns and the batch runs unaccelerated.
-        std::error_code ec;
-        std::filesystem::create_directories(warmup_dir, ec);
-    }
-    auto optionsFor = [&](std::size_t w) {
-        JobExecutionOptions opts;
-        const ExperimentJob &job = batch[w];
-        if (!warmup_dir.empty() && job.cacheable()) {
-            char buf[24];
-            std::snprintf(
-                buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(cacheKeyDigest(
-                    warmupKey(job.cfg, job.kind, job.workload,
-                              job.smt ? &job.smtWorkload
-                                      : nullptr))));
-            opts.warmupImagePath =
-                warmup_dir + "/morrigan-warm-" + buf + ".snap";
-        }
-        return opts;
-    };
-
-    // Execute. Each job is self-contained, so any assignment of
-    // jobs to workers produces identical results; the shared atomic
-    // cursor only affects scheduling.
-    const unsigned nthreads = static_cast<unsigned>(
-        std::min<std::size_t>(jobs(), work.size()));
-    if (nthreads <= 1) {
-        for (std::size_t w : work)
-            out[w] = executeJob(batch[w], optionsFor(w));
-    } else {
-        std::atomic<std::size_t> cursor{0};
-        auto worker = [&]() {
-            for (;;) {
-                std::size_t k = cursor.fetch_add(1);
-                if (k >= work.size())
-                    return;
-                std::size_t w = work[k];
-                out[w] = executeJob(batch[w], optionsFor(w));
-            }
-        };
-        std::vector<std::thread> threads;
-        threads.reserve(nthreads);
-        for (unsigned t = 0; t < nthreads; ++t)
-            threads.emplace_back(worker);
-        for (std::thread &t : threads)
-            t.join();
-    }
-
-    // Publish fresh results and satisfy in-batch duplicates.
-    for (std::size_t w : work)
-        if (!keys[w].empty())
-            cache.insert(keys[w], out[w].result);
-    for (const auto &[dst, src] : copies)
-        out[dst] = out[src];
-    return out;
-}
-
-std::vector<SimResult>
-RunPool::run(const std::vector<ExperimentJob> &batch)
-{
-    std::vector<ExperimentOutput> outputs = runAll(batch);
-    std::vector<SimResult> results;
-    results.reserve(outputs.size());
-    for (ExperimentOutput &o : outputs)
-        results.push_back(std::move(o.result));
-    return results;
 }
 
 } // namespace morrigan

@@ -1,25 +1,21 @@
 /**
  * @file
- * Parallel experiment runner.
+ * Experiment jobs and their execution on the calling thread.
  *
  * Simulation campaigns are embarrassingly parallel: every run is a
  * deterministic function of (SimConfig, prefetcher spec,
  * ServerWorkloadParams), with no shared mutable state between runs
  * (each job constructs its own Simulator, workload generator, RNG
- * streams and prefetcher). RunPool fans a batch of ExperimentJobs
- * out across std::thread workers and returns the SimResults in
- * submission order, bit-identical to serial execution regardless of
- * the worker count.
+ * streams and prefetcher). This header defines the job, executes one
+ * job (executeJob), and holds the process-wide run settings the
+ * batch scheduler (Supervisor, sim/supervisor.hh) reads: the worker
+ * count and the warmup-image directory. Batches run through the
+ * Supervisor return results in submission order, bit-identical to
+ * serial execution regardless of the worker count.
  *
- * Worker count: the `--jobs` flag / RunPool::setDefaultJobs() when
- * given, else the MORRIGAN_JOBS environment variable (validated:
- * junk or zero is fatal), else std::thread::hardware_concurrency().
- *
- * Batches flow through the process-wide ResultCache: cacheable jobs
- * (registry-spec prefetcher, no miss-stream collection) that repeat a
- * key — within a batch or across batches — are simulated once per
- * process, which is what keeps every bench figure from re-running
- * the shared no-prefetching baseline suite.
+ * Worker count: the `--jobs` flag / setDefaultJobs() when given,
+ * else the MORRIGAN_JOBS environment variable (validated: junk or
+ * zero is fatal), else std::thread::hardware_concurrency().
  */
 
 #ifndef MORRIGAN_SIM_RUN_POOL_HH
@@ -27,6 +23,7 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/prefetcher_registry.hh"
@@ -149,50 +146,19 @@ unsigned parseJobsValue(const char *what, const char *s);
 /** Resolved default worker count (override > env > hardware). */
 unsigned defaultJobs();
 
-/** The worker pool. */
-class RunPool
-{
-  public:
-    /**
-     * @param jobs Worker count; 0 defers to defaultJobs(), resolved
-     * per batch so a later setDefaultJobs() takes effect.
-     * @param use_cache Route cacheable jobs through
-     * ResultCache::global(). Tests disable this to force execution.
-     */
-    explicit RunPool(unsigned jobs = 0, bool use_cache = true);
+/** Override the process default worker count (the --jobs flag); 0
+ * restores env/hardware resolution. */
+void setDefaultJobs(unsigned jobs);
 
-    /** Worker count the next batch would use. */
-    unsigned jobs() const;
-
-    /** Run a batch; SimResults in submission order. */
-    std::vector<SimResult>
-    run(const std::vector<ExperimentJob> &batch);
-
-    /** Run a batch keeping the full outputs (miss streams). */
-    std::vector<ExperimentOutput>
-    runAll(const std::vector<ExperimentJob> &batch);
-
-    /** The process-wide pool the batch helpers use. */
-    static RunPool &global();
-
-    /** Override the process default worker count (the --jobs flag);
-     * 0 restores env/hardware resolution. */
-    static void setDefaultJobs(unsigned jobs);
-
-    /**
-     * Directory for warmup images, resolved per batch: the override
-     * set here wins, else the MORRIGAN_WARMUP_CACHE environment
-     * variable, else warmup imaging is off. Cacheable jobs in a
-     * batch then restore/publish snapshots keyed by warmupKey(), so
-     * a sweep warms each (workload, prefetcher, system) once.
-     */
-    static void setWarmupImageDir(std::string dir);
-    static std::string warmupImageDir();
-
-  private:
-    unsigned requestedJobs_;
-    bool useCache_;
-};
+/**
+ * Directory for warmup images, resolved per batch: the override set
+ * here wins, else the MORRIGAN_WARMUP_CACHE environment variable,
+ * else warmup imaging is off. Cacheable jobs in a batch then
+ * restore/publish snapshots keyed by warmupKey(), so a sweep warms
+ * each (workload, prefetcher, system) once.
+ */
+void setWarmupImageDir(std::string dir);
+std::string warmupImageDir();
 
 } // namespace morrigan
 

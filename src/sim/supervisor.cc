@@ -8,15 +8,16 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <system_error>
 #include <thread>
 #include <unordered_map>
 
@@ -271,7 +272,7 @@ parseChildDoc(const std::string &text, RunOutcome &o,
     return 1;
 }
 
-/** Shared scheduler bookkeeping: an attempt waiting to start. */
+/** Sandbox scheduler bookkeeping: an attempt waiting to start. */
 struct PendingAttempt
 {
     std::size_t idx;  //!< index into the batch
@@ -279,28 +280,29 @@ struct PendingAttempt
     Clock::time_point notBefore;
 };
 
-/** Thread-mode completion signalling. Slots keep a shared_ptr to
- * this so a watchdog-abandoned thread can still safely finish and
- * notify after the scheduler has moved on. */
-struct SchedulerSignal
+std::uint64_t
+msSince(Clock::time_point since)
 {
-    std::mutex m;
-    std::condition_variable cv;
-};
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            Clock::now() - since)
+            .count());
+}
 
-struct ThreadAttempt
+/** Outcome of a job a drain request settled before its next attempt
+ * could start (see SupervisorOptions::stopRequested). */
+RunOutcome
+canceledOutcome(const ExperimentJob &job, unsigned attempts)
 {
-    std::shared_ptr<SchedulerSignal> signal;
-    /** Owned copy of the job: a watchdog-abandoned (detached)
-     * thread may outlive Supervisor::run() and the caller's batch
-     * vector, so it must never hold a pointer into them. */
-    ExperimentJob job;
-    JobExecutionOptions opts;
-    std::atomic<bool> done{false};
-    bool threw = false;
-    std::string what;
-    ExperimentOutput output;
-};
+    RunOutcome o;
+    o.status = RunStatus::Failed;
+    o.canceled = true;
+    o.attempts = attempts;
+    o.failure.status = RunStatus::Failed;
+    o.failure.what = "canceled by drain";
+    o.failure.repro = jobReproCommand(job);
+    return o;
+}
 
 /** Process-wide default-policy override (the CLI flags). */
 std::mutex defaultOptionsMutex;
@@ -308,11 +310,12 @@ std::optional<SupervisorOptions> defaultOptionsOverride;
 
 /**
  * Rate-limited campaign progress line (stderr). Purely
- * observational; every member is touched only from the single
- * scheduler thread that owns the campaign, so no locking. The
- * instrs/sec figure counts *simulated* instructions of finalized
- * jobs (warmup + measure budget) per wall second -- a throughput
- * number comparable across campaigns, not a per-attempt profile.
+ * observational and not thread-safe: the sandbox scheduler touches
+ * it from its single thread, the thread-mode workers only under
+ * their settle lock. The instrs/sec figure counts *simulated*
+ * instructions of finalized jobs (warmup + measure budget) per wall
+ * second -- a throughput number comparable across campaigns, not a
+ * per-attempt profile.
  */
 class ProgressMeter
 {
@@ -329,7 +332,7 @@ class ProgressMeter
         instructions_ += simulated_instructions;
     }
 
-    void retryScheduled() { ++retries_; }
+    void retried(std::size_t n = 1) { retries_ += n; }
 
     void maybePrint(std::size_t running)
     {
@@ -685,6 +688,14 @@ Supervisor::Supervisor(SupervisorOptions opt) : opt_(std::move(opt))
 {
     if (opt_.maxAttempts == 0)
         opt_.maxAttempts = 1;
+    // Only a forked child can be killed at its deadline; a thread
+    // cannot, so without --isolate a pinned deadline does nothing.
+    static std::atomic<bool> warned{false};
+    if (opt_.jobTimeoutMs > 0 && !opt_.isolate &&
+        !warned.exchange(true))
+        warn("job timeout (--job-timeout / MORRIGAN_JOB_TIMEOUT) "
+             "applies only under --isolate; ignoring it in thread "
+             "mode");
 }
 
 SupervisorOptions
@@ -747,7 +758,7 @@ Supervisor::jobOptions(const ExperimentJob &job,
                               "/morrigan-ckpt-" + buf + ".snap";
         opts.checkpointEvery = opt_.checkpointEveryInstructions;
     }
-    const std::string warmup_dir = RunPool::warmupImageDir();
+    const std::string warmup_dir = warmupImageDir();
     if (!warmup_dir.empty()) {
         std::error_code ec;
         std::filesystem::create_directories(warmup_dir, ec);
@@ -878,18 +889,12 @@ Supervisor::superviseInline(const ExperimentJob &job,
                             const std::string &key)
 {
     const std::string retry_key = key.empty() ? jobLabel(job) : key;
+    const JobExecutionOptions opts = jobOptions(job, key);
     RunOutcome o;
     for (unsigned attempt = 1; attempt <= opt_.maxAttempts;
          ++attempt) {
-        if (opt_.stopRequested && opt_.stopRequested()) {
-            o.status = RunStatus::Failed;
-            o.canceled = true;
-            o.attempts = attempt - 1;
-            o.failure.status = RunStatus::Failed;
-            o.failure.what = "canceled by drain";
-            o.failure.repro = jobReproCommand(job);
-            return o;
-        }
+        if (opt_.stopRequested && opt_.stopRequested())
+            return canceledOutcome(job, attempt - 1);
         if (attempt > 1) {
             telemetry::ScopedSpan span(
                 telemetry::Phase::RetryBackoff);
@@ -897,17 +902,15 @@ Supervisor::superviseInline(const ExperimentJob &job,
                 retryDelayMs(retry_key, attempt, opt_)));
         }
         const Clock::time_point began = Clock::now();
-        auto attempt_ms = [&] {
-            return static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    Clock::now() - began)
-                    .count());
-        };
         try {
-            o.output = executeJob(job);
+            o.output = executeJob(job, opts);
             o.status = RunStatus::Ok;
             o.attempts = attempt;
-            o.durationMs = attempt_ms();
+            o.durationMs = msSince(began);
+            // The caller publishes the result (cache + journal); the
+            // mid-run checkpoint is dead weight from here on.
+            if (!opts.checkpointPath.empty())
+                ::unlink(opts.checkpointPath.c_str());
             return o;
         } catch (const std::exception &e) {
             o.failure.what = e.what();
@@ -918,7 +921,7 @@ Supervisor::superviseInline(const ExperimentJob &job,
         o.failure.status = RunStatus::Failed;
         o.failure.repro = jobReproCommand(job);
         o.attempts = attempt;
-        o.durationMs = attempt_ms();
+        o.durationMs = msSince(began);
     }
     return o;
 }
@@ -932,203 +935,65 @@ Supervisor::runThreaded(const std::vector<ExperimentJob> &batch,
 {
     if (work.empty())
         return;
-    const unsigned nthreads = std::max<unsigned>(
-        1, static_cast<unsigned>(
-               std::min<std::size_t>(jobs(), work.size())));
-    auto signal = std::make_shared<SchedulerSignal>();
-
-    std::deque<PendingAttempt> pending;
-    const Clock::time_point start = Clock::now();
-    for (std::size_t w : work)
-        pending.push_back({w, 1, start});
-
     ProgressMeter meter(opt_.progressEveryMs, work.size());
+    std::mutex settle_mutex; // guards out, publish, meter, error
+    std::exception_ptr error;
+    std::atomic<std::size_t> cursor{0};
+    std::atomic<std::size_t> running{0};
 
-    struct Active
-    {
-        std::shared_ptr<ThreadAttempt> att;
-        std::thread th;
-        std::size_t idx;
-        unsigned attempt;
-        Clock::time_point deadline;
-        std::uint64_t timeoutMs;
-        Clock::time_point launched;
-    };
-    std::vector<Active> active;
-
-    auto elapsed_ms = [](Clock::time_point since) {
-        return static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                Clock::now() - since)
-                .count());
-    };
-
-    auto handle_failure = [&](std::size_t idx, unsigned attempt,
-                              RunStatus status,
-                              const std::string &what,
-                              bool allow_retry,
-                              std::uint64_t duration_ms) {
-        if (allow_retry && attempt < opt_.maxAttempts) {
-            const std::string retry_key =
-                keys[idx].empty() ? jobLabel(batch[idx]) : keys[idx];
-            pending.push_back(
-                {idx, attempt + 1,
-                 Clock::now() +
-                     std::chrono::milliseconds(retryDelayMs(
-                         retry_key, attempt + 1, opt_))});
-            meter.retryScheduled();
-            return;
-        }
-        RunOutcome &o = out[idx];
-        o.status = status;
-        o.attempts = attempt;
-        o.durationMs = duration_ms;
-        o.failure.status = status;
-        o.failure.what = what;
-        o.failure.repro = jobReproCommand(batch[idx]);
-        publish(idx);
-        meter.jobDone(jobInstructionBudget(batch[idx]));
-    };
-
-    auto draining = [&] {
-        return opt_.stopRequested && opt_.stopRequested();
-    };
-
-    while (!pending.empty() || !active.empty()) {
-        Clock::time_point now = Clock::now();
-
-        // Launch every eligible attempt a free worker slot can
-        // take -- none once a drain is requested.
-        for (auto it = pending.begin();
-             !draining() && it != pending.end() &&
-             active.size() < nthreads;) {
-            if (it->notBefore > now) {
-                ++it;
-                continue;
+    // Each job is self-contained, so any assignment of jobs to
+    // workers produces identical results; the shared cursor only
+    // affects scheduling. superviseInline contains job faults, so
+    // only publishing (journal, settle hook) can throw: the first
+    // such exception stops every worker and is rethrown to the
+    // caller.
+    auto worker = [&] {
+        try {
+            for (;;) {
+                const std::size_t k = cursor.fetch_add(1);
+                if (k >= work.size())
+                    return;
+                const std::size_t w = work[k];
+                ++running;
+                RunOutcome o = superviseInline(batch[w], keys[w]);
+                --running;
+                std::lock_guard<std::mutex> lock(settle_mutex);
+                out[w] = std::move(o);
+                publish(w);
+                if (!out[w].canceled) {
+                    meter.retried(out[w].attempts - 1);
+                    meter.jobDone(jobInstructionBudget(batch[w]));
+                }
+                meter.maybePrint(running.load());
             }
-            auto att = std::make_shared<ThreadAttempt>();
-            att->signal = signal;
-            att->job = batch[it->idx];
-            att->opts = jobOptions(att->job, keys[it->idx]);
-            std::thread th([att] {
-                ExperimentOutput result;
-                bool threw = false;
-                std::string what;
-                try {
-                    result = executeJob(att->job, att->opts);
-                } catch (const std::exception &e) {
-                    threw = true;
-                    what = e.what();
-                } catch (...) {
-                    threw = true;
-                    what = "unknown exception";
-                }
-                {
-                    std::lock_guard<std::mutex> g(att->signal->m);
-                    att->output = std::move(result);
-                    att->threw = threw;
-                    att->what = std::move(what);
-                    att->done.store(true, std::memory_order_release);
-                }
-                att->signal->cv.notify_all();
-            });
-            const std::uint64_t tmo =
-                attemptTimeoutMs(att->job, att->opts);
-            active.push_back({std::move(att), std::move(th),
-                              it->idx, it->attempt,
-                              now + std::chrono::milliseconds(tmo),
-                              tmo, now});
-            it = pending.erase(it);
+        } catch (...) {
+            std::lock_guard<std::mutex> lock(settle_mutex);
+            if (!error)
+                error = std::current_exception();
+            cursor.store(work.size());
         }
-
-        // Sleep until the next completion, deadline, or retry time.
-        Clock::time_point next = Clock::time_point::max();
-        for (const Active &a : active)
-            next = std::min(next, a.deadline);
-        if (!draining() && active.size() < nthreads)
-            for (const PendingAttempt &p : pending)
-                next = std::min(next, p.notBefore);
-        {
-            std::unique_lock<std::mutex> lk(signal->m);
-            bool any_done = false;
-            for (const Active &a : active)
-                if (a.att->done.load(std::memory_order_acquire)) {
-                    any_done = true;
-                    break;
-                }
-            if (!any_done && next != Clock::time_point::max())
-                signal->cv.wait_until(lk, next);
+    };
+    const std::size_t nthreads =
+        std::min<std::size_t>(jobs(), work.size());
+    std::vector<std::thread> threads;
+    threads.reserve(nthreads);
+    for (std::size_t t = 0; t < nthreads; ++t) {
+        try {
+            threads.emplace_back(worker);
+        } catch (const std::system_error &e) {
+            // Out of threads: the workers already running share the
+            // batch between them.
+            if (threads.empty())
+                throw;
+            warn("supervisor: started %zu of %zu workers: %s",
+                 threads.size(), nthreads, e.what());
+            break;
         }
-
-        now = Clock::now();
-        for (auto it = active.begin(); it != active.end();) {
-            if (it->att->done.load(std::memory_order_acquire)) {
-                it->th.join();
-                if (!it->att->threw) {
-                    RunOutcome &o = out[it->idx];
-                    o.status = RunStatus::Ok;
-                    o.output = std::move(it->att->output);
-                    o.attempts = it->attempt;
-                    o.durationMs = elapsed_ms(it->launched);
-                    publish(it->idx);
-                    meter.jobDone(
-                        jobInstructionBudget(batch[it->idx]));
-                    // The finished result is durable (cache +
-                    // journal); the mid-run checkpoint is now dead
-                    // weight.
-                    if (!it->att->opts.checkpointPath.empty())
-                        ::unlink(
-                            it->att->opts.checkpointPath.c_str());
-                } else {
-                    handle_failure(it->idx, it->attempt,
-                                   RunStatus::Failed,
-                                   it->att->what, true,
-                                   elapsed_ms(it->launched));
-                }
-                it = active.erase(it);
-            } else if (now >= it->deadline) {
-                // Watchdog without a sandbox: we cannot kill a
-                // std::thread, so abandon it (it may still finish
-                // into its private ThreadAttempt, which nothing
-                // reads) and move on. No retry: the abandoned
-                // thread may still be executing this very job
-                // (process-global state would be shared by two
-                // concurrent runs) and keeps occupying a core, so
-                // a retry would oversubscribe the worker budget.
-                // --isolate is the retry-capable mode for hangs.
-                it->th.detach();
-                handle_failure(
-                    it->idx, it->attempt, RunStatus::TimedOut,
-                    csprintf("exceeded %llu ms watchdog deadline "
-                             "(thread abandoned; timed-out jobs are "
-                             "not retried in thread mode -- use "
-                             "--isolate for hard kills and retries)",
-                             static_cast<unsigned long long>(
-                                 it->timeoutMs)),
-                    false, elapsed_ms(it->launched));
-                it = active.erase(it);
-            } else {
-                ++it;
-            }
-        }
-
-        // Drain: once every in-flight attempt has finished, settle
-        // whatever never got to start as canceled (not journaled).
-        if (draining() && active.empty()) {
-            for (const PendingAttempt &p : pending) {
-                RunOutcome &o = out[p.idx];
-                o.status = RunStatus::Failed;
-                o.canceled = true;
-                o.attempts = p.attempt - 1;
-                o.failure.status = RunStatus::Failed;
-                o.failure.what = "canceled by drain";
-                o.failure.repro = jobReproCommand(batch[p.idx]);
-                publish(p.idx);
-            }
-            pending.clear();
-        }
-        meter.maybePrint(active.size());
     }
+    for (std::thread &t : threads)
+        t.join();
+    if (error)
+        std::rethrow_exception(error);
 }
 
 void
@@ -1168,13 +1033,6 @@ Supervisor::runSandboxed(const std::vector<ExperimentJob> &batch,
     };
     std::vector<Child> children;
 
-    auto elapsed_ms = [](Clock::time_point since) {
-        return static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                Clock::now() - since)
-                .count());
-    };
-
     auto handle_failure = [&](const Child &c, RunStatus status,
                               const std::string &what, int sig) {
         if (c.attempt < opt_.maxAttempts) {
@@ -1186,13 +1044,13 @@ Supervisor::runSandboxed(const std::vector<ExperimentJob> &batch,
                  Clock::now() +
                      std::chrono::milliseconds(retryDelayMs(
                          retry_key, c.attempt + 1, opt_))});
-            meter.retryScheduled();
+            meter.retried();
             return;
         }
         RunOutcome &o = out[c.idx];
         o.status = status;
         o.attempts = c.attempt;
-        o.durationMs = elapsed_ms(c.launched);
+        o.durationMs = msSince(c.launched);
         o.failure.status = status;
         o.failure.what = what;
         o.failure.signal = sig;
@@ -1228,7 +1086,7 @@ Supervisor::runSandboxed(const std::vector<ExperimentJob> &batch,
         if (code == 0 && parsed == 1) {
             o.status = RunStatus::Ok;
             o.attempts = c.attempt;
-            o.durationMs = elapsed_ms(c.launched);
+            o.durationMs = msSince(c.launched);
             out[c.idx] = std::move(o);
             publish(c.idx);
             meter.jobDone(jobInstructionBudget(batch[c.idx]));
@@ -1380,16 +1238,11 @@ Supervisor::runSandboxed(const std::vector<ExperimentJob> &batch,
         }
 
         // Drain: with every child reaped, settle what never
-        // launched as canceled (not journaled; see runThreaded).
+        // launched as canceled (not journaled).
         if (draining() && children.empty()) {
             for (const PendingAttempt &p : pending) {
-                RunOutcome &o = out[p.idx];
-                o.status = RunStatus::Failed;
-                o.canceled = true;
-                o.attempts = p.attempt - 1;
-                o.failure.status = RunStatus::Failed;
-                o.failure.what = "canceled by drain";
-                o.failure.repro = jobReproCommand(batch[p.idx]);
+                out[p.idx] =
+                    canceledOutcome(batch[p.idx], p.attempt - 1);
                 publish(p.idx);
             }
             pending.clear();

@@ -2,24 +2,27 @@
  * @file
  * Fault-isolated campaign supervisor.
  *
- * RunPool answers "run these jobs fast"; the Supervisor answers
- * "run this campaign to completion no matter what individual jobs
- * do". It wraps every ExperimentJob in a fault boundary:
+ * The Supervisor is the one batch scheduler: it runs a batch of
+ * ExperimentJobs to completion no matter what individual jobs do,
+ * and returns one outcome per job in submission order. It wraps
+ * every job in a fault boundary:
  *
  *  - exceptions (and, in sandbox mode, SIGSEGV/SIGABRT/OOM kills)
  *    in one job are captured as a per-job failure instead of
  *    aborting the batch;
- *  - a watchdog enforces a per-job wall-clock deadline, derived
- *    from the instruction budget unless pinned;
+ *  - in sandbox mode, a watchdog enforces a per-job wall-clock
+ *    deadline, derived from the instruction budget unless pinned;
  *  - failed jobs (and, in sandbox mode, timed-out ones) are
  *    retried a bounded number of times with exponential backoff
  *    and deterministic jitter (seeded from the job key, so reruns
  *    schedule identically);
+ *  - cacheable jobs that repeat a key, within a batch or across
+ *    batches, are simulated once per process (ResultCache);
  *  - with SupervisorOptions::checkpointDir set, cacheable jobs
  *    autosave snapshots (see DESIGN.md §12) and a retried attempt
- *    resumes from the last checkpoint -- with a watchdog deadline
- *    derived from the remaining instruction budget -- instead of
- *    re-simulating from scratch;
+ *    resumes from the last checkpoint -- in sandbox mode with a
+ *    watchdog deadline derived from the remaining instruction
+ *    budget -- instead of re-simulating from scratch;
  *  - every final outcome is appended to an fsync'd JSONL journal,
  *    so a campaign killed at any point (Ctrl-C, CI timeout,
  *    machine loss) resumes exactly where it stopped;
@@ -27,15 +30,15 @@
  *    which the CLIs and bench artifacts emit so degraded campaigns
  *    report what is missing instead of silently dropping rows.
  *
- * Sandbox mode (SupervisorOptions::isolate, --isolate,
- * MORRIGAN_ISOLATE=1) forks one child per job and ships the result
- * back over a pipe; the scheduler then runs single-threaded in the
- * parent (children provide the parallelism), which keeps fork()
- * safe. Thread mode (the default) contains C++ exceptions only; a
- * crash still takes the process down, and a timed-out job's thread
- * is abandoned, not killed -- and because the abandoned thread may
- * still be running that job, thread-mode timeouts are terminal
- * (never retried).
+ * Thread mode (the default) starts min(jobs, pending jobs) worker
+ * threads per batch; each pulls the next job, runs its retry loop
+ * and settles it. It contains C++ exceptions only: a crash takes
+ * the process down and a hung job hangs the batch. Sandbox mode
+ * (SupervisorOptions::isolate, --isolate, MORRIGAN_ISOLATE=1) forks
+ * one child per job and ships the result back over a pipe; the
+ * scheduler then runs single-threaded in the parent (children
+ * provide the parallelism), which keeps fork() safe, and it alone
+ * can kill a job at its deadline.
  */
 
 #ifndef MORRIGAN_SIM_SUPERVISOR_HH
@@ -110,7 +113,8 @@ struct SupervisorOptions
     bool isolate = false;
 
     /** Per-job wall-clock deadline in ms; 0 derives a deadline from
-     * the job's instruction budget (derivedJobTimeoutMs). */
+     * the job's instruction budget (derivedJobTimeoutMs). Applies
+     * only with isolate; thread mode warns once and ignores it. */
     std::uint64_t jobTimeoutMs = 0;
 
     /** Total executions per job, first try included. */
@@ -130,8 +134,9 @@ struct SupervisorOptions
      * experiment key) every checkpointEveryInstructions, and a
      * retried attempt -- after a watchdog SIGKILL, a crash, or a
      * whole-campaign restart -- resumes from the last checkpoint
-     * instead of starting over. The watchdog deadline of a resumed
-     * attempt is derived from the *remaining* instruction budget.
+     * instead of starting over. In sandbox mode the watchdog
+     * deadline of a resumed attempt is derived from the *remaining*
+     * instruction budget.
      */
     std::string checkpointDir;
 
@@ -153,9 +158,10 @@ struct SupervisorOptions
     bool useCache = true;
 
     /**
-     * Drain hook, polled by the schedulers between launches. Once
-     * it returns true, no further attempt (first try or retry) is
-     * started: in-flight attempts run to completion and are
+     * Drain hook, polled before every attempt (from each worker
+     * thread in thread mode, so it must be callable concurrently).
+     * Once it returns true, no further attempt (first try or retry)
+     * is started: in-flight attempts run to completion and are
      * journaled as usual, and every still-pending job settles as a
      * Failed outcome with "canceled by drain" -- deliberately NOT
      * journaled, so a later campaign with the same journal reruns
@@ -168,10 +174,10 @@ struct SupervisorOptions
      * Observation hook invoked the moment a job's outcome is final
      * (executed, replayed from the journal, served from the cache,
      * copied from an in-batch duplicate, or canceled by drain),
-     * with the job's batch index. Called from the scheduler thread;
-     * it must not re-enter the Supervisor. The campaign service
-     * uses this to stream per-job outcomes to clients while the
-     * batch is still running.
+     * with the job's batch index. Calls are serialized (thread-mode
+     * workers make them under one lock); it must not re-enter the
+     * Supervisor. The campaign service uses this to stream per-job
+     * outcomes to clients while the batch is still running.
      */
     std::function<void(std::size_t, const RunOutcome &)> onJobSettled;
 
@@ -298,18 +304,20 @@ class Supervisor
     static SupervisorOptions defaultOptions();
     static void setDefaultOptions(const SupervisorOptions &opt);
 
+    /** Worker threads (sandbox: concurrent children) a batch may
+     * use: SupervisorOptions::jobs, else defaultJobs(). */
+    unsigned jobs() const;
+
   private:
     /** Stable identity for cache + journal; "" = anonymous. */
     std::string jobKey(const ExperimentJob &job) const;
-
-    unsigned jobs() const;
 
     /** Checkpoint/warmup knobs for one execution of @p job; empty
      * paths when checkpointing is off or the job is not eligible. */
     JobExecutionOptions jobOptions(const ExperimentJob &job,
                                    const std::string &key) const;
 
-    /** Watchdog deadline for an attempt, accounting for the
+    /** Sandbox watchdog deadline for an attempt, accounting for the
      * progress recorded in the job's checkpoint (if any). */
     std::uint64_t attemptTimeoutMs(const ExperimentJob &job,
                                    const JobExecutionOptions &opts)
@@ -320,8 +328,8 @@ class Supervisor
      * campaign killed mid-flight keeps every finished job). */
     using PublishFn = std::function<void(std::size_t)>;
 
-    /** Run indices @p work of @p batch on worker threads (faults =
-     * exceptions; timeouts abandon the thread). */
+    /** Run indices @p work of @p batch on up to jobs() worker
+     * threads, each job through superviseInline. */
     void runThreaded(const std::vector<ExperimentJob> &batch,
                      const std::vector<std::size_t> &work,
                      const std::vector<std::string> &keys,
@@ -336,9 +344,10 @@ class Supervisor
                       std::vector<RunOutcome> &out,
                       const PublishFn &publish);
 
-    /** Sandbox-mode fallback for jobs whose outputs cannot cross a
-     * pipe (miss-stream collection): run on the calling thread with
-     * retries but no crash containment or watchdog. */
+    /** Run one job on the calling thread with retries, exception
+     * containment and the drain check, but no watchdog: the thread
+     * mode's per-job loop, and the sandbox-mode fallback for jobs
+     * whose outputs cannot cross a pipe (miss-stream collection). */
     RunOutcome superviseInline(const ExperimentJob &job,
                                const std::string &key);
 

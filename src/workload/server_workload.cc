@@ -270,7 +270,12 @@ ServerWorkload::next()
         // Advance along the request path (or finish the deviation).
         if (deviating_) {
             deviating_ = false;
-            currentPage_ = paths_[currentType_][pathPos_];
+            // A phase change during the deviation may have rebuilt
+            // this request's path shorter than pathPos_.
+            if (pathPos_ >= paths_[currentType_].size())
+                startRequest();
+            else
+                currentPage_ = paths_[currentType_][pathPos_];
         } else if (rng_.chance(params_.pDeviate)) {
             deviating_ = true;
             currentPage_ = rankToPage_[hotZipf_.sample(rng_)];

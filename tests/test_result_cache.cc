@@ -2,7 +2,7 @@
  * @file
  * ResultCache tests: key construction, hit/miss accounting, the
  * "baselines simulated at most once per process" guarantee through
- * RunPool, JSON round-trips, and on-disk cache behaviour (including
+ * the Supervisor, JSON round-trips, and on-disk cache behaviour (including
  * corrupt and stale files, which must be ignored, never fatal).
  */
 
@@ -16,6 +16,7 @@
 #include "sim/experiment.hh"
 #include "sim/result_cache.hh"
 #include "sim/run_pool.hh"
+#include "sim/supervisor.hh"
 #include "workload/workload_factory.hh"
 
 using namespace morrigan;
@@ -73,6 +74,22 @@ sampleResult()
     r.contextSwitches = 3;
     r.correctingWalks = 17;
     return r;
+}
+
+/** Results of @p batch run on @p workers threads through the
+ * process-wide result cache. */
+std::vector<SimResult>
+runCached(const std::vector<ExperimentJob> &batch, unsigned workers)
+{
+    SupervisorOptions opt;
+    opt.jobs = workers;
+    opt.useCache = true;
+    std::vector<SimResult> results;
+    for (RunOutcome &o : Supervisor(opt).run(batch)) {
+        EXPECT_TRUE(o.ok()) << o.failure.what;
+        results.push_back(std::move(o.output.result));
+    }
+    return results;
 }
 
 void
@@ -228,13 +245,12 @@ TEST(ResultCache, BaselineSimulatedOncePerProcess)
     std::vector<ServerWorkloadParams> suite = {qmmWorkloadParams(0),
                                                qmmWorkloadParams(1)};
 
-    RunPool pool(2, /*use_cache=*/true);
     std::vector<ExperimentJob> batch;
     for (const ServerWorkloadParams &wl : suite)
         batch.push_back(
             ExperimentJob::of(cfg, "none", wl));
 
-    std::vector<SimResult> first = pool.run(batch);
+    std::vector<SimResult> first = runCached(batch, 2);
     ResultCache::Counts c = cache.counts();
     EXPECT_EQ(c.inserts, 2u);
     EXPECT_EQ(c.hits, 0u);
@@ -242,7 +258,7 @@ TEST(ResultCache, BaselineSimulatedOncePerProcess)
 
     // Second figure asking for the same baseline: all hits, nothing
     // new simulated.
-    std::vector<SimResult> second = pool.run(batch);
+    std::vector<SimResult> second = runCached(batch, 2);
     c = cache.counts();
     EXPECT_EQ(c.inserts, 2u);
     EXPECT_EQ(c.hits, 2u);
@@ -253,7 +269,7 @@ TEST(ResultCache, BaselineSimulatedOncePerProcess)
     // In-batch duplicates also collapse to one simulation.
     cache.clear();
     std::vector<ExperimentJob> dup = {batch[0], batch[0], batch[0]};
-    std::vector<SimResult> results = pool.run(dup);
+    std::vector<SimResult> results = runCached(dup, 2);
     c = cache.counts();
     EXPECT_EQ(c.inserts, 1u);
     expectSameResult(results[0], results[1]);
@@ -277,9 +293,8 @@ TEST(ResultCache, FactoryJobsBypassTheCache)
         qmmWorkloadParams(0));
     EXPECT_FALSE(job.cacheable());
 
-    RunPool pool(1, /*use_cache=*/true);
-    pool.run({job});
-    pool.run({job});
+    runCached({job}, 1);
+    runCached({job}, 1);
     const ResultCache::Counts c = cache.counts();
     EXPECT_EQ(c.hits, 0u);
     EXPECT_EQ(c.misses, 0u);

@@ -1,9 +1,11 @@
 /**
  * @file
- * RunPool regression tests: the determinism guarantee (results are
- * bit-identical across worker counts and to direct serial
- * execution), submission-order preservation, factory jobs, SMT
- * jobs, and the hardened MORRIGAN_JOBS parsing.
+ * Run-pool regression tests for the Supervisor's thread mode (the
+ * worker pool every batch runs through): the determinism guarantee
+ * (results are bit-identical across worker counts and to direct
+ * serial execution), submission-order preservation, factory jobs,
+ * SMT jobs, miss-stream jobs, and the hardened MORRIGAN_JOBS
+ * parsing of sim/run_pool.hh.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include "core/morrigan.hh"
 #include "sim/experiment.hh"
 #include "sim/run_pool.hh"
+#include "sim/supervisor.hh"
 #include "workload/workload_factory.hh"
 
 using namespace morrigan;
@@ -75,6 +78,22 @@ expectIdentical(const SimResult &a, const SimResult &b)
     EXPECT_EQ(a.correctingWalks, b.correctingWalks);
 }
 
+/** Run @p batch on @p workers thread-mode workers with the result
+ * cache off, so every job truly executes. */
+std::vector<ExperimentOutput>
+runPooled(const std::vector<ExperimentJob> &batch, unsigned workers)
+{
+    SupervisorOptions opt;
+    opt.jobs = workers;
+    opt.useCache = false;
+    std::vector<ExperimentOutput> outputs;
+    for (RunOutcome &o : Supervisor(opt).run(batch)) {
+        EXPECT_TRUE(o.ok()) << o.failure.what;
+        outputs.push_back(std::move(o.output));
+    }
+    return outputs;
+}
+
 } // namespace
 
 TEST(RunPool, DeterministicAcrossWorkerCounts)
@@ -96,18 +115,16 @@ TEST(RunPool, DeterministicAcrossWorkerCounts)
         }
     }
 
-    RunPool pool1(1, /*use_cache=*/false);
-    RunPool pool4(4, /*use_cache=*/false);
-    std::vector<SimResult> r1 = pool1.run(jobs);
-    std::vector<SimResult> r4 = pool4.run(jobs);
+    std::vector<ExperimentOutput> r1 = runPooled(jobs, 1);
+    std::vector<ExperimentOutput> r4 = runPooled(jobs, 4);
 
     ASSERT_EQ(r1.size(), jobs.size());
     ASSERT_EQ(r4.size(), jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         SCOPED_TRACE(serial[i].workload + "/" +
                      serial[i].prefetcher);
-        expectIdentical(serial[i], r1[i]);
-        expectIdentical(serial[i], r4[i]);
+        expectIdentical(serial[i], r1[i].result);
+        expectIdentical(serial[i], r4[i].result);
     }
 }
 
@@ -119,13 +136,12 @@ TEST(RunPool, PreservesSubmissionOrder)
     for (unsigned i : {4u, 1u, 9u, 2u})
         jobs.push_back(ExperimentJob::of(cfg, "none",
                                          qmmWorkloadParams(i)));
-    RunPool pool(4, /*use_cache=*/false);
-    std::vector<SimResult> results = pool.run(jobs);
+    std::vector<ExperimentOutput> results = runPooled(jobs, 4);
     ASSERT_EQ(results.size(), 4u);
-    EXPECT_EQ(results[0].workload, "qmm_04");
-    EXPECT_EQ(results[1].workload, "qmm_01");
-    EXPECT_EQ(results[2].workload, "qmm_09");
-    EXPECT_EQ(results[3].workload, "qmm_02");
+    EXPECT_EQ(results[0].result.workload, "qmm_04");
+    EXPECT_EQ(results[1].result.workload, "qmm_01");
+    EXPECT_EQ(results[2].result.workload, "qmm_09");
+    EXPECT_EQ(results[3].result.workload, "qmm_02");
 }
 
 TEST(RunPool, FactoryJobsMatchSerialRunWith)
@@ -136,17 +152,17 @@ TEST(RunPool, FactoryJobsMatchSerialRunWith)
     MorriganPrefetcher serial_pref{MorriganParams{}};
     SimResult serial = runWorkloadWith(cfg, &serial_pref, wl);
 
-    RunPool pool(2, /*use_cache=*/false);
-    std::vector<SimResult> results = pool.run(
+    std::vector<ExperimentOutput> results = runPooled(
         {ExperimentJob::with(cfg,
                              [] {
                                  return std::make_unique<
                                      MorriganPrefetcher>(
                                      MorriganParams{});
                              },
-                             wl)});
+                             wl)},
+        2);
     ASSERT_EQ(results.size(), 1u);
-    expectIdentical(serial, results[0]);
+    expectIdentical(serial, results[0].result);
 }
 
 TEST(RunPool, SmtJobsMatchSerialRunSmtPair)
@@ -156,12 +172,10 @@ TEST(RunPool, SmtJobsMatchSerialRunSmtPair)
     const ServerWorkloadParams b = qmmWorkloadParams(5);
     SimResult serial = runSmtPair(cfg, nullptr, a, b);
 
-    RunPool pool(2, /*use_cache=*/false);
-    std::vector<SimResult> results =
-        pool.run({ExperimentJob::smtPair(cfg, "none",
-                                         a, b)});
+    std::vector<ExperimentOutput> results =
+        runPooled({ExperimentJob::smtPair(cfg, "none", a, b)}, 2);
     ASSERT_EQ(results.size(), 1u);
-    expectIdentical(serial, results[0]);
+    expectIdentical(serial, results[0].result);
 }
 
 TEST(RunPool, MissStreamBatchMatchesSerial)
@@ -175,10 +189,8 @@ TEST(RunPool, MissStreamBatchMatchesSerial)
     sim.run();
     const MissStreamStats &serial = sim.missStream();
 
-    RunPool pool(2, /*use_cache=*/false);
-    std::vector<ExperimentOutput> outputs = pool.runAll(
-        {ExperimentJob::of(cfg, "none",
-                           qmmWorkloadParams(2))});
+    std::vector<ExperimentOutput> outputs = runPooled(
+        {ExperimentJob::of(cfg, "none", qmmWorkloadParams(2))}, 2);
     ASSERT_EQ(outputs.size(), 1u);
     const MissStreamStats &pooled = outputs[0].missStream;
     EXPECT_EQ(serial.totalMisses(), pooled.totalMisses());
@@ -191,7 +203,7 @@ TEST(RunPool, MissStreamBatchMatchesSerial)
 TEST(RunPoolJobs, EnvOverridesHardware)
 {
     setenv("MORRIGAN_JOBS", "3", 1);
-    RunPool::setDefaultJobs(0);
+    setDefaultJobs(0);
     EXPECT_EQ(defaultJobs(), 3u);
     unsetenv("MORRIGAN_JOBS");
 }
@@ -199,11 +211,13 @@ TEST(RunPoolJobs, EnvOverridesHardware)
 TEST(RunPoolJobs, ExplicitOverrideWinsOverEnv)
 {
     setenv("MORRIGAN_JOBS", "3", 1);
-    RunPool::setDefaultJobs(7);
+    setDefaultJobs(7);
     EXPECT_EQ(defaultJobs(), 7u);
-    EXPECT_EQ(RunPool().jobs(), 7u);
-    EXPECT_EQ(RunPool(2).jobs(), 2u);
-    RunPool::setDefaultJobs(0);
+    SupervisorOptions opt;
+    EXPECT_EQ(Supervisor(opt).jobs(), 7u);
+    opt.jobs = 2;
+    EXPECT_EQ(Supervisor(opt).jobs(), 2u);
+    setDefaultJobs(0);
     unsetenv("MORRIGAN_JOBS");
 }
 
@@ -229,7 +243,7 @@ TEST(RunPoolJobsDeathTest, JunkIsFatal)
 TEST(RunPoolJobsDeathTest, JunkEnvIsFatalAtResolution)
 {
     setenv("MORRIGAN_JOBS", "lots", 1);
-    RunPool::setDefaultJobs(0);
+    setDefaultJobs(0);
     EXPECT_EXIT(defaultJobs(), ::testing::ExitedWithCode(1),
                 "MORRIGAN_JOBS");
     unsetenv("MORRIGAN_JOBS");

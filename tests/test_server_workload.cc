@@ -122,6 +122,30 @@ TEST(ServerWorkload, PhaseChangesHappenOnSchedule)
     EXPECT_LE(w.phaseChanges(), 5u);
 }
 
+TEST(ServerWorkload, PhaseChangeMidDeviationStaysInBounds)
+{
+    // With this generator seed the first phase change (at 2M
+    // records) rebuilds the running request's path shorter while the
+    // request is deviating; the deviation's return must start a new
+    // request instead of indexing past the rebuilt path's end.
+    ServerWorkloadParams p = qmmWorkloadParams(43);
+    p.seed = 16929568105644185409ULL;
+    ServerWorkload a(p), b(p);
+    const auto regions = a.mappedRegions();
+    for (int i = 0; i < 2'100'000; ++i) {
+        const TraceRecord ra = a.next(), rb = b.next();
+        ASSERT_EQ(ra.pc, rb.pc) << "record " << i;
+        ASSERT_EQ(ra.dataAddr, rb.dataAddr) << "record " << i;
+        const Vpn vpn = pageOf(ra.pc);
+        bool in_region = false;
+        for (const auto &[base, count] : regions)
+            in_region |= vpn >= base && vpn < base + count;
+        ASSERT_TRUE(in_region)
+            << "record " << i << ": pc page " << vpn << " unmapped";
+    }
+    EXPECT_GE(a.phaseChanges(), 1u);
+}
+
 TEST(ServerWorkload, ZeroPhaseIntervalDisablesPhases)
 {
     ServerWorkloadParams p = qmmWorkloadParams(8);

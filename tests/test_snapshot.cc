@@ -537,15 +537,17 @@ TEST(Snapshot, WarmupImageReuseBitIdentical)
                             "morrigan-snaptest-warm-" +
                             std::to_string(::getpid());
     std::filesystem::create_directories(dir);
-    RunPool::setWarmupImageDir(dir);
+    setWarmupImageDir(dir);
 
     // Cold pass populates the image; both measurement lengths share
     // one warmup key, and neither result moves.
-    RunPool pool(2, /*use_cache=*/false);
-    std::vector<SimResult> cold =
-        pool.run({short_job, long_job});
-    EXPECT_EQ(resultJson(cold[0]), ref_short);
-    EXPECT_EQ(resultJson(cold[1]), ref_long);
+    SupervisorOptions opt;
+    opt.jobs = 2;
+    opt.useCache = false;
+    std::vector<RunOutcome> cold =
+        Supervisor(opt).run({short_job, long_job});
+    EXPECT_EQ(resultJson(cold[0].output.result), ref_short);
+    EXPECT_EQ(resultJson(cold[1].output.result), ref_long);
 
     bool image_found = false;
     for (const auto &e : std::filesystem::directory_iterator(dir))
@@ -555,12 +557,12 @@ TEST(Snapshot, WarmupImageReuseBitIdentical)
 
     // Warm pass restores the image instead of re-simulating warmup;
     // results still must not move.
-    std::vector<SimResult> warm =
-        pool.run({short_job, long_job});
-    EXPECT_EQ(resultJson(warm[0]), ref_short);
-    EXPECT_EQ(resultJson(warm[1]), ref_long);
+    std::vector<RunOutcome> warm =
+        Supervisor(opt).run({short_job, long_job});
+    EXPECT_EQ(resultJson(warm[0].output.result), ref_short);
+    EXPECT_EQ(resultJson(warm[1].output.result), ref_long);
 
-    RunPool::setWarmupImageDir("");
+    setWarmupImageDir("");
     std::filesystem::remove_all(dir);
 }
 

@@ -1,9 +1,10 @@
 /**
  * @file
  * Campaign supervisor regression tests: fault containment (thread
- * and sandbox modes), watchdog timeouts, deterministic retry
- * scheduling, journal checkpoint/resume (bit-identical, tolerant of
- * torn writes), failure manifests and degraded-mode batch results.
+ * and sandbox modes), sandbox watchdog timeouts, deterministic retry
+ * scheduling, thread-mode drain, journal checkpoint/resume
+ * (bit-identical, tolerant of torn writes), failure manifests and
+ * degraded-mode batch results.
  */
 
 #include <gtest/gtest.h>
@@ -243,32 +244,79 @@ TEST(Supervisor, WatchdogKillsHungJob)
     EXPECT_EQ(out[0].attempts, 2u);
 }
 
-TEST(Supervisor, ThreadModeTimeoutIsTerminal)
+TEST(Supervisor, ThreadModeDrainCancelsPendingJobsOnly)
 {
-    // Thread mode cannot kill a hung worker, only abandon it. The
-    // abandoned thread may still be executing the job, so the
-    // supervisor must not retry (two concurrent runs would share
-    // process-global state and oversubscribe the worker budget):
-    // exactly one attempt, status TimedOut, despite maxAttempts 3.
-    // The worker owns a copy of the job, so destroying this test's
-    // jobs vector while the orphan thread keeps running is safe.
+    // A drain requested by the first settle: every job settles
+    // exactly once, the jobs already running finish and are
+    // journaled, the rest settle canceled and are not, so a second
+    // campaign on the same journal replays the finished jobs and
+    // executes only the canceled ones.
     const SimConfig cfg = quickConfig();
-    SupervisorOptions opt;
-    opt.jobTimeoutMs = 300;
-    opt.maxAttempts = 3;
-    opt.backoffBaseMs = 1;
-    opt.backoffCapMs = 2;
-    opt.useCache = false;
-    Supervisor sup(opt);
+    std::vector<ExperimentJob> batch;
+    for (unsigned i = 13; i < 21; ++i)
+        batch.push_back(goodJob(cfg, i));
 
-    std::vector<RunOutcome> out = sup.run(
-        {faultyJob<HangingPrefetcher>(cfg, "test:hang-thread")});
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].status, RunStatus::TimedOut);
-    EXPECT_EQ(out[0].attempts, 1u);
-    EXPECT_NE(
-        out[0].failure.what.find("not retried in thread mode"),
-        std::string::npos);
+    for (unsigned workers : {1u, 4u}) {
+        SCOPED_TRACE(workers);
+        const std::string journal =
+            tempPath("morrigan-test-journal-drain-") +
+            std::to_string(workers) + ".jsonl";
+        std::remove(journal.c_str());
+
+        std::atomic<bool> stop{false};
+        std::vector<unsigned> settles(batch.size(), 0);
+        SupervisorOptions opt;
+        opt.jobs = workers;
+        opt.useCache = false;
+        opt.journalPath = journal;
+        opt.stopRequested = [&stop] { return stop.load(); };
+        // Unsynchronized on purpose: settle calls are serialized.
+        opt.onJobSettled = [&](std::size_t i, const RunOutcome &) {
+            ++settles[i];
+            stop.store(true);
+        };
+        std::vector<RunOutcome> first = Supervisor(opt).run(batch);
+        ASSERT_EQ(first.size(), batch.size());
+
+        std::size_t finished = 0;
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            SCOPED_TRACE(i);
+            EXPECT_EQ(settles[i], 1u);
+            if (first[i].ok()) {
+                ++finished;
+                continue;
+            }
+            EXPECT_TRUE(first[i].canceled);
+            EXPECT_EQ(first[i].attempts, 0u);
+            EXPECT_EQ(first[i].failure.what, "canceled by drain");
+        }
+        // Only jobs in flight when the drain began may finish.
+        EXPECT_GE(finished, 1u);
+        EXPECT_LE(finished, workers);
+
+        // Canceled outcomes are not journaled.
+        std::ifstream ifs(journal);
+        std::size_t lines = 0;
+        for (std::string line; std::getline(ifs, line);) {
+            ++lines;
+            EXPECT_EQ(line.find("canceled by drain"),
+                      std::string::npos);
+        }
+        EXPECT_EQ(lines, finished);
+
+        opt.stopRequested = nullptr;
+        opt.onJobSettled = nullptr;
+        std::vector<RunOutcome> second = Supervisor(opt).run(batch);
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            SCOPED_TRACE(i);
+            ASSERT_TRUE(second[i].ok());
+            EXPECT_EQ(second[i].fromJournal, first[i].ok());
+            if (first[i].ok())
+                expectIdentical(first[i].output.result,
+                                second[i].output.result);
+        }
+        std::remove(journal.c_str());
+    }
 }
 
 TEST(Supervisor, CrashAndHangBatchCompletes)

@@ -59,8 +59,9 @@ usage()
         "  --isolate           sandbox every run in its own process; "
         "crashing/hanging seeds are quarantined, not fatal "
         "(MORRIGAN_ISOLATE=1)\n"
-        "  --job-timeout SECS  per-run watchdog deadline (default: "
-        "derived from the instruction budget)\n"
+        "  --job-timeout SECS  per-run watchdog deadline under "
+        "--isolate (default: derived from the instruction budget; "
+        "ignored with a warning without --isolate)\n"
         "  --journal FILE      campaign journal (JSONL); rerunning "
         "with the same parameters resumes completed runs\n"
         "  --no-m5             skip the checkpoint/restore "
@@ -132,7 +133,7 @@ main(int argc, char **argv)
         } else if (arg == "--artifact-dir") {
             opt.artifactDir = next();
         } else if (arg == "--jobs") {
-            RunPool::setDefaultJobs(parseJobsValue("--jobs", next()));
+            setDefaultJobs(parseJobsValue("--jobs", next()));
         } else if (arg == "--isolate") {
             opt.isolate = true;
         } else if (arg == "--job-timeout") {

@@ -56,8 +56,9 @@ usage()
         "  --isolate             sandbox every job in its own "
         "process\n"
         "  --jobs N              parallel worker count per campaign\n"
-        "  --job-timeout SECS    per-job watchdog deadline (default "
-        "derived from the instruction budget)\n"
+        "  --job-timeout SECS    per-job watchdog deadline under "
+        "--isolate (default derived from the instruction budget; "
+        "ignored with a warning without --isolate)\n"
         "  --retries N           per-job retries with backoff "
         "(default 1)\n"
         "  --max-queue N         queued campaigns before submit "

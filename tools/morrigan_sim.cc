@@ -100,8 +100,9 @@ usage()
         "+ prefetcher) and report speedups\n"
         "  --isolate             sandbox every batch job in its own "
         "process (contains crashes/OOM; MORRIGAN_ISOLATE=1)\n"
-        "  --job-timeout SECS    per-job watchdog deadline (default "
-        "derived from the instruction budget; "
+        "  --job-timeout SECS    per-job watchdog deadline under "
+        "--isolate (default derived from the instruction budget; "
+        "ignored with a warning without --isolate; "
         "MORRIGAN_JOB_TIMEOUT)\n"
         "  --retries N           retry failed jobs (and timed-out "
         "ones under --isolate) up to N times with backoff "
@@ -446,7 +447,7 @@ main(int argc, char **argv)
         } else if (arg == "--baseline") {
             with_baseline = true;
         } else if (arg == "--jobs") {
-            RunPool::setDefaultJobs(parseJobsValue("--jobs", next()));
+            setDefaultJobs(parseJobsValue("--jobs", next()));
         } else if (arg == "--sweep") {
             sweep = true;
         } else if (arg == "--isolate") {
@@ -467,7 +468,7 @@ main(int argc, char **argv)
         } else if (arg == "--checkpoint-dir") {
             sup.checkpointDir = next();
         } else if (arg == "--warmup-cache") {
-            RunPool::setWarmupImageDir(next());
+            setWarmupImageDir(next());
         } else {
             std::fprintf(stderr, "unknown option %s\n", arg.c_str());
             usage();
@@ -558,7 +559,7 @@ main(int argc, char **argv)
         std::printf("-- QMM suite sweep: %s vs baseline "
                     "(%u workloads, %u jobs) --\n",
                     prefetcher_name.c_str(), numQmmWorkloads,
-                    RunPool::global().jobs());
+                    defaultJobs());
         std::printf("%-10s %10s %10s %9s\n", "workload", "base IPC",
                     "opt IPC", "speedup");
         unsigned failed_rows = 0;
