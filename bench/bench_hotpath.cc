@@ -3,13 +3,14 @@
  * Hot-path structure microbenchmarks (ROADMAP item 1).
  *
  * Times each structure the hot-loop speed campaign rewrote --
- * SIMD-lane cache tag scans, SoA associative-table probes, the flat
- * open-addressing frequency stack, guided Zipf sampling, the flat
- * page-table fast path, and batched workload generation -- in
- * million operations per wall second. Working sets and key streams
- * are sized so the numbers track the structures as the simulator
- * actually drives them (cache-resident tables, skewed keys), not a
- * best-case fit in the host L1.
+ * SIMD-lane cache tag scans, the Table 1 hierarchy walk, SoA
+ * associative-table probes, the flat open-addressing frequency
+ * stack, guided Zipf sampling, the flat page-table fast path, and
+ * batched workload generation -- in million operations per wall
+ * second. Working sets and key streams are sized so the numbers
+ * track the structures as the simulator actually drives them
+ * (cache-resident tables, skewed keys), not a best-case fit in the
+ * host L1.
  *
  * The golden copy in bench/golden/BENCH_Hotpath.json is gated
  * one-sidedly in CI (compare_bench_json.py --min-ratio 0.7) like the
@@ -24,6 +25,7 @@
 #include "common/zipf.hh"
 #include "core/frequency_stack.hh"
 #include "mem/cache_model.hh"
+#include "mem/memory_hierarchy.hh"
 #include "tlb/tlb.hh"
 #include "vm/page_table.hh"
 #include "workload/server_workload.hh"
@@ -71,6 +73,32 @@ cacheLookupInsert(std::uint64_t ops)
             sum += 1;
         else
             cache.insert(line, (i & 7) == 0);
+    }
+    return sum;
+}
+
+/** Table 1 hierarchy (L1I/L1D, L2 with its stride prefetcher, LLC,
+ * DRAM) under Zipf-skewed lines scattered over 4x the LLC, with
+ * every fourth reference from a sequential stream, alternating the
+ * instruction and data sides: the level walk accessThrough() runs
+ * for every simulated fetch and data reference. */
+double
+memAccessThrough(std::uint64_t ops)
+{
+    MemoryHierarchyParams params;
+    MemoryHierarchy mem(params);
+    const Addr universe = 4 * params.llc.sizeBytes / lineBytes;
+    ZipfSampler zipf(static_cast<std::size_t>(universe), 0.9);
+    Rng rng(6, 0x96);
+    Addr stream = 0;
+    std::uint64_t sum = 0;
+    for (std::uint64_t i = 0; i < ops; ++i) {
+        Addr line = (i & 3) == 0
+                        ? stream++ % universe
+                        : zipf.sample(rng) * 2654435761ull % universe;
+        AccessType type =
+            (i & 1) ? AccessType::Data : AccessType::Instruction;
+        sum += mem.access((0x100000 + line) << lineShift, type).latency;
     }
     return sum;
 }
@@ -179,6 +207,8 @@ main()
 
     row("cache-lookup-insert", mops(20'000'000, cacheLookupInsert),
         "Mop/s", "L2-geometry tag scan, Zipf line stream");
+    row("mem-access-through", mops(5'000'000, memAccessThrough),
+        "Mop/s", "Table 1 hierarchy walk, Zipf + streaming lines");
     row("assoc-find-insert", mops(20'000'000, assocFindInsert),
         "Mop/s", "STLB-geometry SoA probe/fill mix");
     row("freq-stack", mops(20'000'000, freqStackMix), "Mop/s",

@@ -38,32 +38,26 @@ CacheModel::CacheModel(const CacheParams &params, StatGroup *parent)
              params_.name.c_str(), numSets_);
     tagStride_ =
         (params_.ways + tagLanes - 1) / tagLanes * tagLanes;
-    tags_.assign(std::size_t{numSets_} * tagStride_, noLine);
-    rec_.assign(std::size_t{numSets_} * tagStride_, 0);
+    rowWords_ = tagStride_ + 2 * params_.ways;
+    rows_.assign(std::size_t{numSets_} * rowWords_, 0);
 }
 
 bool
 CacheModel::invalidate(Addr line)
 {
-    std::uint32_t base = baseOf(line);
-    int w = findWay(base, checkedTag(line));
+    std::uint32_t *row = rowOf(line);
+    int w = findWay(row, checkedTag(line));
     if (w < 0)
         return false;
-    tags_[base + w] = noLine;
-    rec_[base + w] = 0;
+    row[w] = 0;
+    setRec(row, w, 0);
     return true;
 }
 
 void
 CacheModel::flush()
 {
-    for (std::uint32_t set = 0; set < numSets_; ++set) {
-        std::size_t base = std::size_t{set} * tagStride_;
-        for (std::uint32_t w = 0; w < params_.ways; ++w) {
-            tags_[base + w] = noLine;
-            rec_[base + w] = 0;
-        }
-    }
+    std::fill(rows_.begin(), rows_.end(), 0);
 }
 
 void
@@ -74,18 +68,19 @@ CacheModel::save(SnapshotWriter &w) const
     w.u32(numSets_);
     w.u32(params_.ways);
     w.u64(useClock_);
-    // Set-major way-minor order matches the old nested layout byte
-    // for byte.
+    // Line addresses, not lane tags, in set-major way-minor order:
+    // the format of the original nested layout, byte for byte.
     for (std::uint32_t set = 0; set < numSets_; ++set) {
-        std::size_t base = std::size_t{set} * tagStride_;
+        const std::uint32_t *row = rowOf(set);
         for (std::uint32_t way = 0; way < params_.ways; ++way) {
-            bool valid = tags_[base + way] != noLine;
+            bool valid = row[way] != 0;
             w.b(valid);
             if (!valid)
                 continue;
-            w.u64(tags_[base + way]);
-            w.b((rec_[base + way] & 1) != 0);
-            w.u64(rec_[base + way] >> 1);
+            std::uint64_t r = rec(row, static_cast<int>(way));
+            w.u64(row[way] - 1);
+            w.b((r & 1) != 0);
+            w.u64(r >> 1);
         }
     }
 }
@@ -102,21 +97,22 @@ CacheModel::restore(SnapshotReader &r)
                             "')");
     useClock_ = r.u64();
     for (std::uint32_t set = 0; set < numSets_; ++set) {
-        std::size_t base = std::size_t{set} * tagStride_;
+        std::uint32_t *row = rowOf(set);
         for (std::uint32_t way = 0; way < params_.ways; ++way) {
+            const int w = static_cast<int>(way);
             if (!r.b()) {
-                tags_[base + way] = noLine;
-                rec_[base + way] = 0;
+                row[way] = 0;
+                setRec(row, w, 0);
                 continue;
             }
-            std::uint64_t tag = r.u64();
-            if (tag >= noLine)
+            std::uint64_t line = r.u64();
+            if (line >= lineLimit)
                 throw SnapshotError(
                     "cache '" + params_.name +
                     "': snapshot line exceeds the 32-bit tag lane");
-            tags_[base + way] = static_cast<std::uint32_t>(tag);
+            row[way] = static_cast<std::uint32_t>(line) + 1;
             bool pf = r.b();
-            rec_[base + way] = (r.u64() << 1) | (pf ? 1 : 0);
+            setRec(row, w, (r.u64() << 1) | (pf ? 1 : 0));
         }
     }
 }

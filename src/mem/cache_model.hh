@@ -8,24 +8,36 @@
  * is recorded for configuration fidelity (Table 1) and exposed to the
  * timing model, which uses it to bound the data-side overlap window.
  *
- * Hot-path layout: the model is physically addressed and physical
- * memory is bounded well below 2^32 lines, so way tags live in a flat
- * 32-bit lane (set rows padded to the SIMD width) -- a whole set is
- * one or two vector compares under AVX2, and at most a 64-byte scan
- * otherwise. Invalid ways hold the sentinel tag noLine, folding the
- * validity check into the tag compare. Recency words in a parallel
- * lane pack (lastUse << 1) | prefetched: clock values are unique, so
- * comparing packed words orders ways exactly like comparing lastUse,
- * and an invalid way's 0 always loses -- victim selection is a single
- * min-scan that lands on the first invalid way when one exists and on
- * the true LRU way otherwise, exactly the old first-invalid-else-LRU
- * policy.
+ * Hot-path layout: every set is one contiguous row of a single flat
+ * array. The row opens with the set's 32-bit tag lanes, padded to the
+ * SIMD width, and continues with one 64-bit recency word per way. A
+ * probe, its LRU update and a victim choice therefore touch one span
+ * of two or three host cache lines instead of two rows in two
+ * distant arrays, and most references walk two or three levels.
+ *
+ * A tag lane stores line + 1, so 0 means an empty way: construction
+ * and flush() are one zero fill, and padding lanes (also 0) can never
+ * match. The model is physically addressed and physical memory tops
+ * out well below 2^32 lines, so the encoding fits 32 bits
+ * (checkedTag enforces it). A whole set is one or two vector compares
+ * under AVX2 and a short scalar scan otherwise.
+ *
+ * Recency words pack (lastUse << 1) | prefetched: clock values are
+ * unique, so comparing packed words orders ways exactly like
+ * comparing lastUse, and an empty way's 0 always loses -- victim
+ * selection is a single min-scan that lands on the first empty way
+ * when one exists and on the true LRU way otherwise, exactly the
+ * first-invalid-else-LRU policy. The words sit at 8-byte-aligned
+ * offsets of the 32-bit array and are read and written through
+ * memcpy, which compiles to plain loads and stores without
+ * type-punning.
  */
 
 #ifndef MORRIGAN_MEM_CACHE_MODEL_HH
 #define MORRIGAN_MEM_CACHE_MODEL_HH
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -77,10 +89,10 @@ class CacheModel
     lookup(Addr line)
     {
         ++accesses_;
-        std::uint32_t base = baseOf(line);
-        int w = findWay(base, checkedTag(line));
+        std::uint32_t *row = rowOf(line);
+        int w = findWay(row, checkedTag(line));
         if (w >= 0) {
-            rec_[base + w] = ++useClock_ << 1;
+            setRec(row, w, ++useClock_ << 1);
             return true;
         }
         ++misses_;
@@ -91,7 +103,7 @@ class CacheModel
     bool
     contains(Addr line) const
     {
-        return findWay(baseOf(line), checkedTag(line)) >= 0;
+        return findWay(rowOf(line), checkedTag(line)) >= 0;
     }
 
     /**
@@ -104,43 +116,42 @@ class CacheModel
     bool
     insert(Addr line, bool is_prefetch = false)
     {
-        std::uint32_t base = baseOf(line);
+        std::uint32_t *row = rowOf(line);
         std::uint32_t tag = checkedTag(line);
 
         // Refresh in place if already resident (e.g. racing fills),
         // keeping the way's prefetched bit, as before.
-        int hit = findWay(base, tag);
+        int hit = findWay(row, tag);
         if (hit >= 0) {
-            std::uint64_t pf = rec_[base + hit] & 1;
-            rec_[base + hit] = (++useClock_ << 1) | pf;
+            setRec(row, hit, (++useClock_ << 1) | (rec(row, hit) & 1));
             return false;
         }
 
         // Min-recency victim scan (padding lanes are excluded: they
-        // would otherwise masquerade as invalid ways).
-        std::uint32_t victim = 0;
-        std::uint64_t bestUse = rec_[base];
-        for (std::uint32_t w = 1; w < params_.ways; ++w) {
-            if (rec_[base + w] < bestUse) {
+        // would otherwise masquerade as empty ways).
+        int victim = 0;
+        std::uint64_t bestUse = rec(row, 0);
+        for (int w = 1; w < static_cast<int>(params_.ways); ++w) {
+            std::uint64_t r = rec(row, w);
+            if (r < bestUse) {
                 victim = w;
-                bestUse = rec_[base + w];
+                bestUse = r;
             }
         }
 
-        bool evicted = tags_[base + victim] != noLine;
+        bool evicted = row[victim] != 0;
         if (evicted)
             ++evictions_;
         if (is_prefetch)
             ++prefetchFills_;
 
-        tags_[base + victim] = tag;
-        rec_[base + victim] =
-            (++useClock_ << 1) | (is_prefetch ? 1 : 0);
+        row[victim] = tag;
+        setRec(row, victim, (++useClock_ << 1) | (is_prefetch ? 1 : 0));
         return evicted;
     }
 
     /**
-     * Hint the host to pull this line's set rows into its own cache.
+     * Hint the host to pull this line's set row into its own cache.
      * No architectural effect; callers issue it for the levels a
      * traversal is about to scan so the row fetches overlap instead
      * of serialising one level at a time.
@@ -148,10 +159,13 @@ class CacheModel
     void
     prefetchSet(Addr line) const
     {
-        std::uint32_t base = baseOf(line);
-        __builtin_prefetch(tags_.data() + base);
-        for (std::uint32_t w = 0; w < params_.ways; w += 8)
-            __builtin_prefetch(rec_.data() + base + w);
+        const char *row = reinterpret_cast<const char *>(rowOf(line));
+        const std::uint32_t bytes = rowWords_ * 4;
+        for (std::uint32_t off = 0; off < bytes; off += 64)
+            __builtin_prefetch(row + off);
+        // Rows need not start on a host line boundary, so the last
+        // byte can sit one line further on.
+        __builtin_prefetch(row + bytes - 1);
     }
 
     /** Drop a line if present. @return true if it was present. */
@@ -170,48 +184,68 @@ class CacheModel
     std::uint64_t demandMisses() const { return misses_.value(); }
 
   private:
-    /** Sentinel tag of an invalid way. The model is physically
-     * addressed and physical memory tops out well below 2^32 lines,
-     * so all-ones cannot occur (enforced by checkedTag). */
-    static constexpr std::uint32_t noLine = ~std::uint32_t{0};
-
-    /** Tag-row padding so a set is whole SIMD vectors. */
+    /** Tag-lane padding so a row's tags are whole SIMD vectors. */
     static constexpr std::uint32_t tagLanes = 8;
 
-    /** First lane index of the set holding @p line. */
-    std::uint32_t baseOf(Addr line) const
+    /** First line address whose tag, line + 1, overflows the 32-bit
+     * lane. */
+    static constexpr Addr lineLimit = ~std::uint32_t{0};
+
+    /** First word of the row of the set holding @p line. */
+    std::size_t
+    rowStart(Addr line) const
     {
-        return (static_cast<std::uint32_t>(line) & (numSets_ - 1)) *
-               tagStride_;
+        return std::size_t{static_cast<std::uint32_t>(line) &
+                           (numSets_ - 1)} *
+               rowWords_;
+    }
+    std::uint32_t *rowOf(Addr line) { return rows_.data() + rowStart(line); }
+    const std::uint32_t *
+    rowOf(Addr line) const
+    {
+        return rows_.data() + rowStart(line);
     }
 
-    /** Narrow a line address to its 32-bit tag, rejecting lines the
-     * narrow lane cannot represent (impossible for physical lines;
-     * the check is one never-taken branch). */
+    /** Encode a line address as its tag lane, line + 1, rejecting
+     * lines the 32-bit lane cannot represent (impossible for
+     * physical lines; the check is one never-taken branch). */
     static std::uint32_t
     checkedTag(Addr line)
     {
-        fatal_if(line >= noLine,
+        fatal_if(line >= lineLimit,
                  "cache line address 0x%llx exceeds the 32-bit tag "
                  "lane",
                  static_cast<unsigned long long>(line));
-        return static_cast<std::uint32_t>(line);
+        return static_cast<std::uint32_t>(line) + 1;
     }
 
-    /** Way holding @p tag in the set at @p base, or -1. At most one
-     * way can match: insert() refreshes instead of duplicating. */
+    /** Recency word of way @p w in @p row. */
+    std::uint64_t
+    rec(const std::uint32_t *row, int w) const
+    {
+        std::uint64_t v = 0;
+        std::memcpy(&v, row + tagStride_ + 2 * w, sizeof v);
+        return v;
+    }
+    void
+    setRec(std::uint32_t *row, int w, std::uint64_t v)
+    {
+        std::memcpy(row + tagStride_ + 2 * w, &v, sizeof v);
+    }
+
+    /** Way holding @p tag in @p row, or -1. At most one way can
+     * match: insert() refreshes instead of duplicating. */
     int
-    findWay(std::uint32_t base, std::uint32_t tag) const
+    findWay(const std::uint32_t *row, std::uint32_t tag) const
     {
 #if defined(__AVX2__)
         const __m256i needle =
             _mm256_set1_epi32(static_cast<int>(tag));
         for (std::uint32_t w = 0; w < tagStride_; w += tagLanes) {
-            __m256i row = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(tags_.data() +
-                                                  base + w));
+            __m256i lanes = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(row + w));
             int m = _mm256_movemask_epi8(
-                _mm256_cmpeq_epi32(row, needle));
+                _mm256_cmpeq_epi32(lanes, needle));
             if (m)
                 return static_cast<int>(w) +
                        (__builtin_ctz(static_cast<unsigned>(m)) >> 2);
@@ -219,7 +253,7 @@ class CacheModel
         return -1;
 #else
         for (std::uint32_t w = 0; w < params_.ways; ++w)
-            if (tags_[base + w] == tag)
+            if (row[w] == tag)
                 return static_cast<int>(w);
         return -1;
 #endif
@@ -227,13 +261,15 @@ class CacheModel
 
     CacheParams params_;
     std::uint32_t numSets_;
-    /** Lane words per set: ways rounded up to the SIMD width. */
+    /** Tag lanes per row: ways rounded up to the SIMD width. */
     std::uint32_t tagStride_;
-    /** 32-bit way tags; padding lanes stay noLine forever. */
-    std::vector<std::uint32_t> tags_;
-    /** Packed recency, (lastUse << 1) | prefetched; same indexing as
-     * tags_, padding lanes stay 0 and are never scanned. */
-    std::vector<std::uint64_t> rec_;
+    /** 32-bit words per row: tagStride_ tag lanes, then two per
+     * way for the recency words. */
+    std::uint32_t rowWords_;
+    /** numSets_ rows, set-major. Tag lanes hold line + 1 (0: empty
+     * way; padding lanes stay 0 forever); recency words hold
+     * (lastUse << 1) | prefetched (0: empty way). */
+    std::vector<std::uint32_t> rows_;
     std::uint64_t useClock_ = 0;
 
     StatGroup stats_;

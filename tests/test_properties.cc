@@ -111,8 +111,9 @@ TEST_P(PbProperty, ModelMatchesReferenceSemantics)
             bool expect_hit = pb.contains(vpn);
             PbLookupResult r = pb.lookupAndConsume(vpn, i);
             ASSERT_EQ(r.hit, expect_hit);
-            if (r.hit)
+            if (r.hit) {
                 ASSERT_EQ(r.entry.pfn, vpn + 1000);
+            }
             ASSERT_FALSE(pb.contains(vpn));
             resident.erase(vpn);
         }

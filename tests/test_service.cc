@@ -19,6 +19,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -58,6 +59,20 @@ void
 msleep(unsigned ms)
 {
     std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+}
+
+using Clock = std::chrono::steady_clock;
+
+/** Deadline for waiting on a campaign that repeats a reference
+ * campaign whose wall time was @p reference: three times that, and
+ * at least 10 s, so the wait scales with sanitizer and host
+ * slowdown instead of being a fixed poll budget. */
+Clock::time_point
+deadlineAfter(Clock::duration reference)
+{
+    return Clock::now() +
+           std::max<Clock::duration>(3 * reference,
+                                     std::chrono::seconds(10));
 }
 
 /** Fork/exec a binary; returns the child pid (argv NULL-terminated
@@ -393,8 +408,10 @@ TEST(Service, DaemonSigkillRestartResumesBitIdentical)
     const std::string jobs =
         writeBatch(ref.dir() + "/batch.jsonl", 4, 12'000'000);
     const std::string ref_out = ref.dir() + "/ref.jsonl";
+    const Clock::time_point ref_start = Clock::now();
     int rc = waitExit(spawn(submitArgv(ref, jobs, ref_out),
                             ref.dir() + "/client.log"));
+    const Clock::duration ref_wall = Clock::now() - ref_start;
     ASSERT_TRUE(WIFEXITED(rc) && WEXITSTATUS(rc) == 0)
         << readFile(ref.dir() + "/client.log");
     ref.drainAndWait();
@@ -409,7 +426,8 @@ TEST(Service, DaemonSigkillRestartResumesBitIdentical)
                          d.dir() + "/client.log");
 
     bool killed_midflight = false;
-    for (int i = 0; i < 2'000; ++i) {
+    for (const auto until = deadlineAfter(ref_wall);
+         Clock::now() < until;) {
         if (lineCount(d.journal()) >= 1) {
             killed_midflight = lineCount(d.journal()) < 4;
             d.killHard();
@@ -440,8 +458,10 @@ TEST(Service, WorkerSigkillMidJobRetriesBitIdentical)
     const std::string jobs =
         writeBatch(ref.dir() + "/batch.jsonl", 2, 12'000'000);
     const std::string ref_out = ref.dir() + "/ref.jsonl";
+    const Clock::time_point ref_start = Clock::now();
     int rc = waitExit(spawn(submitArgv(ref, jobs, ref_out),
                             ref.dir() + "/client.log"));
+    const Clock::duration ref_wall = Clock::now() - ref_start;
     ASSERT_TRUE(WIFEXITED(rc) && WEXITSTATUS(rc) == 0)
         << readFile(ref.dir() + "/client.log");
     ref.drainAndWait();
@@ -455,7 +475,8 @@ TEST(Service, WorkerSigkillMidJobRetriesBitIdentical)
                          d.dir() + "/client.log");
 
     pid_t victim = -1;
-    for (int i = 0; i < 2'000 && victim < 0; ++i) {
+    for (const auto until = deadlineAfter(ref_wall);
+         victim < 0 && Clock::now() < until;) {
         for (pid_t kid : childrenOf(d.pid()))
             victim = kid;
         if (victim < 0)
@@ -479,8 +500,10 @@ TEST(Service, SigtermDrainIsGracefulAndRetriable)
     const std::string jobs =
         writeBatch(ref.dir() + "/batch.jsonl", 3, 2'000'000);
     const std::string ref_out = ref.dir() + "/ref.jsonl";
+    const Clock::time_point ref_start = Clock::now();
     int rc = waitExit(spawn(submitArgv(ref, jobs, ref_out),
                             ref.dir() + "/client.log"));
+    const Clock::duration ref_wall = Clock::now() - ref_start;
     ASSERT_TRUE(WIFEXITED(rc) && WEXITSTATUS(rc) == 0)
         << readFile(ref.dir() + "/client.log");
     ref.drainAndWait();
@@ -492,7 +515,8 @@ TEST(Service, SigtermDrainIsGracefulAndRetriable)
 
     // Wait until the campaign is genuinely in flight, then request
     // the drain.
-    for (int i = 0; i < 2'000 && lineCount(d.journal()) < 1; ++i)
+    for (const auto until = deadlineAfter(ref_wall);
+         lineCount(d.journal()) < 1 && Clock::now() < until;)
         msleep(5);
     ASSERT_GE(lineCount(d.journal()), 1u);
     ASSERT_EQ(::kill(d.pid(), SIGTERM), 0);
