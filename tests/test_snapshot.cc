@@ -19,6 +19,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,6 +28,7 @@
 #include "common/rng.hh"
 #include "common/snapshot.hh"
 #include "common/zipf.hh"
+#include "core/prefetcher_registry.hh"
 #include "core/frequency_stack.hh"
 #include "core/prediction_table.hh"
 #include "mem/cache_model.hh"
@@ -693,4 +696,109 @@ TEST(Snapshot, IntervalSamplerRingWrapRoundTrip)
     EXPECT_EQ(sb.epoch, 20u);
     EXPECT_EQ(a.samples().front().epoch, 13u);
     EXPECT_EQ(b.samples().front().epoch, 13u);
+}
+
+// ---------------------------------------------------------------
+// Format pin: the payload bytes of a warmup-boundary image, per
+// configuration, are fixed. A change here invalidates every warmup
+// image and checkpoint on disk and must come with a
+// snapshotSchemaVersion bump (DESIGN.md §12).
+// ---------------------------------------------------------------
+
+namespace
+{
+
+struct FormatCase
+{
+    const char *label;
+    std::string prefetcher;
+    ServerWorkloadParams workload;
+    bool smt = false;
+    ServerWorkloadParams smtWorkload{};
+    ICachePrefKind icachePref = ICachePrefKind::NextLine;
+    bool observe = false;
+    std::uint64_t payloadSize;
+    std::uint32_t payloadCrc;
+};
+
+/** Run @p c to its warmup boundary and return the image payload. */
+std::string
+warmupPayload(const FormatCase &c)
+{
+    SimConfig cfg;
+    cfg.warmupInstructions = 40'000;
+    cfg.simInstructions = 1;
+    cfg.icachePref = c.icachePref;
+    auto pf = makePrefetcher(c.prefetcher);
+    ServerWorkload trace(c.workload);
+    std::unique_ptr<ServerWorkload> smt_trace;
+    Simulator sim(cfg);
+    sim.attachWorkload(&trace, 0);
+    if (c.smt) {
+        smt_trace = std::make_unique<ServerWorkload>(c.smtWorkload);
+        sim.attachWorkload(smt_trace.get(), 1);
+    }
+    if (pf)
+        sim.attachPrefetcher(pf.get());
+    if (c.observe)
+        sim.enableIntervalSampler(10'000); // implies the tracer
+    FileGuard f(tempPath(std::string("format-") + c.label + ".snap"));
+    sim.setWarmupImagePath(f.path());
+    (void)sim.run();
+
+    std::ifstream ifs(f.path(), std::ios::binary);
+    std::string image((std::istreambuf_iterator<char>(ifs)),
+                      std::istreambuf_iterator<char>());
+    constexpr std::size_t header_bytes = 40;
+    return image.size() < header_bytes ? std::string()
+                                        : image.substr(header_bytes);
+}
+
+} // namespace
+
+TEST(Snapshot, PayloadMatchesParentFormat)
+{
+    ASSERT_EQ(snapshotSchemaVersion, 1u);
+    std::vector<FormatCase> cases;
+    auto add = [&](const char *label, std::string pf,
+                   ServerWorkloadParams wl) -> FormatCase & {
+        FormatCase c{};
+        c.label = label;
+        c.prefetcher = std::move(pf);
+        c.workload = std::move(wl);
+        cases.push_back(c);
+        return cases.back();
+    };
+    add("morrigan-qmm", "morrigan", qmmWorkloadParams(3));
+    add("spec", "morrigan", specWorkloadParams(2));
+    {
+        FormatCase &c = add("smt", "morrigan", qmmWorkloadParams(1));
+        c.smt = true;
+        c.smtWorkload = qmmWorkloadParams(2);
+    }
+    add("hybrid", "morrigan-mono+sp", qmmWorkloadParams(5));
+    add("mp-unbounded", "mp-unbounded", qmmWorkloadParams(7));
+    add("fnl-mma", "morrigan", qmmWorkloadParams(4)).icachePref =
+        ICachePrefKind::FnlMma;
+    add("observed", "morrigan", qmmWorkloadParams(6)).observe = true;
+
+    // Recorded by running this test against the tree before the
+    // save/restore pairs were folded into visit(Archive&).
+    const std::vector<std::pair<std::uint64_t, std::uint32_t>> pinned = {
+        {443747, 0x8EE7CD7Bu}, // morrigan-qmm
+        {401763, 0x7E815DC4u}, // spec
+        {609401, 0x65ED9D12u}, // smt
+        {452900, 0xE1AB57E7u}, // hybrid
+        {472771, 0xB467214Du}, // mp-unbounded
+        {496028, 0xFAAB7E2Cu}, // fnl-mma
+        {427080, 0x4234EA30u}, // observed
+    };
+    ASSERT_EQ(pinned.size(), cases.size());
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        const std::string payload = warmupPayload(cases[i]);
+        const std::uint32_t crc =
+            crc32(payload.data(), payload.size());
+        EXPECT_EQ(payload.size(), pinned[i].first) << cases[i].label;
+        EXPECT_EQ(crc, pinned[i].second) << cases[i].label;
+    }
 }
