@@ -226,67 +226,42 @@ class SetAssocTable
     std::uint32_t population() const { return population_; }
 
     /**
-     * Serialize the table in storage order (set-major, way-minor):
-     * geometry, LRU clock, and for each way its valid flag plus --
-     * when valid -- key, lastUse and the payload via @p save_value.
-     * Invalid ways carry no payload; restore() resets them, which is
-     * behaviorally identical (their contents are never read).
+     * Save or restore the table in storage order (set-major,
+     * way-minor): geometry, LRU clock, and for each way its valid
+     * flag plus -- when valid -- key, lastUse and the payload via
+     * @p value. Invalid ways carry no payload; loading resets them,
+     * which is behaviorally identical (their contents are never read).
      *
-     * @param save_value Callable (SnapshotWriter&, const ValueT&).
-     */
-    template <typename SaveV>
-    void
-    save(SnapshotWriter &w, SaveV &&save_value) const
-    {
-        w.section("assoc_table");
-        w.u32(ways_);
-        w.u32(numSets_);
-        w.u64(useClock_);
-        const std::uint32_t n = numSets_ * ways_;
-        for (std::uint32_t i = 0; i < n; ++i) {
-            w.b(valid_[i] != 0);
-            if (!valid_[i])
-                continue;
-            w.u64(static_cast<std::uint64_t>(keys_[i]));
-            w.u64(lastUse_[i]);
-            save_value(w, values_[i]);
-        }
-    }
-
-    /**
-     * Restore a table saved with identical geometry.
-     *
-     * @param load_value Callable (SnapshotReader&, ValueT&).
+     * @param value Callable (Archive&, ValueT&).
      * @throws SnapshotError on a geometry mismatch.
      */
-    template <typename LoadV>
+    template <typename VisitV>
     void
-    restore(SnapshotReader &r, LoadV &&load_value)
+    visit(Archive &ar, VisitV &&value)
     {
-        r.section("assoc_table");
-        std::uint32_t ways = r.u32();
-        std::uint32_t sets = r.u32();
-        if (ways != ways_ || sets != numSets_)
-            throw SnapshotError(
-                "assoc table geometry mismatch: snapshot " +
-                std::to_string(sets) + "x" + std::to_string(ways) +
-                ", live " + std::to_string(numSets_) + "x" +
-                std::to_string(ways_));
-        useClock_ = r.u64();
-        population_ = 0;
+        ar.section("assoc_table");
+        ar.expect(ways_, "assoc table ways");
+        ar.expect(numSets_, "assoc table sets");
+        ar.u64(useClock_);
+        const bool loading = !ar.saving();
+        if (loading)
+            population_ = 0;
         const std::uint32_t n = numSets_ * ways_;
         for (std::uint32_t i = 0; i < n; ++i) {
-            valid_[i] = r.b() ? 1 : 0;
+            ar.b(valid_[i]);
             if (!valid_[i]) {
-                keys_[i] = KeyT{};
-                values_[i] = ValueT{};
-                lastUse_[i] = 0;
+                if (loading) {
+                    keys_[i] = KeyT{};
+                    values_[i] = ValueT{};
+                    lastUse_[i] = 0;
+                }
                 continue;
             }
-            keys_[i] = static_cast<KeyT>(r.u64());
-            lastUse_[i] = r.u64();
-            load_value(r, values_[i]);
-            ++population_;
+            ar.u64(keys_[i]);
+            ar.u64(lastUse_[i]);
+            value(ar, values_[i]);
+            if (loading)
+                ++population_;
         }
     }
 

@@ -104,22 +104,14 @@ class Rng
         return uniform() < p;
     }
 
-    /** Serialize the generator state (stream position included). */
+    /** Save or restore the generator state (stream position
+     * included). */
     void
-    save(SnapshotWriter &w) const
+    visit(Archive &ar)
     {
-        w.section("rng");
-        w.u64(state_);
-        w.u64(inc_);
-    }
-
-    /** Resume the exact stream position a save() captured. */
-    void
-    restore(SnapshotReader &r)
-    {
-        r.section("rng");
-        state_ = r.u64();
-        inc_ = r.u64();
+        ar.section("rng");
+        ar.u64(state_);
+        ar.u64(inc_);
     }
 
   private:

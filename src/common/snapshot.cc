@@ -355,4 +355,24 @@ SnapshotReader::finish()
             " trailing bytes (component drift?)");
 }
 
+void
+Archive::expect(const std::string &live, const char *what)
+{
+    if (w_) {
+        w_->str(live);
+        return;
+    }
+    std::string v = r_->str();
+    if (v != live)
+        mismatch(what, "'" + v + "'", "'" + live + "'");
+}
+
+void
+Archive::mismatch(const char *what, const std::string &stored,
+                  const std::string &live)
+{
+    throw SnapshotError(std::string(what) + " mismatch: snapshot has " +
+                        stored + ", live has " + live);
+}
+
 } // namespace morrigan

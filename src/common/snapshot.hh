@@ -43,6 +43,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 namespace morrigan
 {
@@ -192,6 +193,156 @@ class SnapshotReader
     std::string buf_;
     std::size_t pos_ = 0;
     SnapshotHeader header_;
+};
+
+/**
+ * One field list for both directions. A component describes its
+ * mutable state once, in a visit(Archive &) member that names every
+ * field in payload order; run over an Archive built on a
+ * SnapshotWriter it saves, run over one built on a SnapshotReader it
+ * restores. The two halves of a format can therefore not drift.
+ *
+ * The field methods take the live field by reference: they write it
+ * when saving and overwrite it when loading. Integral and enum fields
+ * of any width may use any wire width (as the format dictates); the
+ * cast back on load is the inverse of the cast on save. Code that
+ * genuinely differs between the directions (an order-normalised
+ * dump, rebuilding a container) branches on saving().
+ */
+class Archive
+{
+  public:
+    explicit Archive(SnapshotWriter &w) : w_(&w) {}
+    explicit Archive(SnapshotReader &r) : r_(&r) {}
+
+    bool saving() const { return w_ != nullptr; }
+
+    /** Named section marker (see SnapshotWriter::section()). */
+    void
+    section(const char *name)
+    {
+        if (w_)
+            w_->section(name);
+        else
+            r_->section(name);
+    }
+
+    template <typename T>
+    void
+    u8(T &v)
+    {
+        if (w_)
+            w_->u8(static_cast<std::uint8_t>(v));
+        else
+            v = static_cast<T>(r_->u8());
+    }
+
+    template <typename T>
+    void
+    b(T &v)
+    {
+        if (w_)
+            w_->b(v != T{});
+        else
+            v = static_cast<T>(r_->b());
+    }
+
+    template <typename T>
+    void
+    u32(T &v)
+    {
+        if (w_)
+            w_->u32(static_cast<std::uint32_t>(v));
+        else
+            v = static_cast<T>(r_->u32());
+    }
+
+    template <typename T>
+    void
+    u64(T &v)
+    {
+        if (w_)
+            w_->u64(static_cast<std::uint64_t>(v));
+        else
+            v = static_cast<T>(r_->u64());
+    }
+
+    template <typename T>
+    void
+    i64(T &v)
+    {
+        if (w_)
+            w_->i64(static_cast<std::int64_t>(v));
+        else
+            v = static_cast<T>(r_->i64());
+    }
+
+    void
+    f64(double &v)
+    {
+        if (w_)
+            w_->f64(v);
+        else
+            v = r_->f64();
+    }
+
+    void
+    str(std::string &s)
+    {
+        if (w_)
+            w_->str(s);
+        else
+            s = r_->str();
+    }
+
+    /**
+     * A u64 element count: @p live when saving, the stored count
+     * when loading (the caller sizes its container from it).
+     */
+    std::uint64_t
+    count(std::uint64_t live)
+    {
+        u64(live);
+        return live;
+    }
+
+    /**
+     * A configuration fingerprint field: writes @p live when saving;
+     * when loading, reads the stored value and throws SnapshotError
+     * naming @p what if it differs from @p live. The overload picks
+     * the wire width.
+     */
+    void expect(std::uint64_t live, const char *what) { check(live, what); }
+    void expect(std::uint32_t live, const char *what) { check(live, what); }
+    void expect(std::uint8_t live, const char *what) { check(live, what); }
+    void expect(bool live, const char *what) { check(live, what); }
+    void expect(const std::string &live, const char *what);
+    void expect(const char *live, const char *what) = delete;
+
+  private:
+    template <typename T>
+    void
+    check(T live, const char *what)
+    {
+        T v = live;
+        if constexpr (std::is_same_v<T, bool>)
+            b(v);
+        else if constexpr (sizeof(T) == 1)
+            u8(v);
+        else if constexpr (sizeof(T) == 4)
+            u32(v);
+        else
+            u64(v);
+        if (v != live)
+            mismatch(what, std::to_string(v), std::to_string(live));
+    }
+
+    [[noreturn]] static void mismatch(const char *what,
+                                      const std::string &stored,
+                                      const std::string &live);
+
+    SnapshotWriter *w_ = nullptr;
+    SnapshotReader *r_ = nullptr;
 };
 
 } // namespace morrigan

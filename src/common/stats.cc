@@ -87,55 +87,27 @@ Distribution::reset()
 }
 
 void
-Counter::save(SnapshotWriter &w) const
+Counter::visit(Archive &ar)
 {
-    w.u64(value_);
+    ar.u64(value_);
 }
 
 void
-Counter::restore(SnapshotReader &r)
+Histogram::visit(Archive &ar)
 {
-    value_ = r.u64();
-}
-
-void
-Histogram::save(SnapshotWriter &w) const
-{
-    w.u64(samples_);
-    w.u64(counts_.size());
-    for (std::uint64_t c : counts_)
-        w.u64(c);
-}
-
-void
-Histogram::restore(SnapshotReader &r)
-{
-    samples_ = r.u64();
-    std::uint64_t n = r.u64();
-    if (n != counts_.size())
-        throw SnapshotError("histogram " + name_ + ": snapshot has " +
-                            std::to_string(n) + " buckets, live has " +
-                            std::to_string(counts_.size()));
+    ar.u64(samples_);
+    ar.expect(counts_.size(), "histogram bucket count");
     for (std::uint64_t &c : counts_)
-        c = r.u64();
+        ar.u64(c);
 }
 
 void
-Distribution::save(SnapshotWriter &w) const
+Distribution::visit(Archive &ar)
 {
-    w.u64(count_);
-    w.f64(sum_);
-    w.f64(min_);
-    w.f64(max_);
-}
-
-void
-Distribution::restore(SnapshotReader &r)
-{
-    count_ = r.u64();
-    sum_ = r.f64();
-    min_ = r.f64();
-    max_ = r.f64();
+    ar.u64(count_);
+    ar.f64(sum_);
+    ar.f64(min_);
+    ar.f64(max_);
 }
 
 StatGroup::StatGroup(std::string name, StatGroup *parent)
@@ -351,52 +323,22 @@ StatGroup::resetAll()
 }
 
 void
-StatGroup::saveAll(SnapshotWriter &w) const
+StatGroup::visit(Archive &ar)
 {
-    w.section("stat_group");
-    w.str(name_);
-    w.u64(counters_.size());
-    for (const Counter *c : counters_)
-        c->save(w);
-    w.u64(distributions_.size());
-    for (const Distribution *d : distributions_)
-        d->save(w);
-    w.u64(histograms_.size());
-    for (const Histogram *h : histograms_)
-        h->save(w);
-    w.u64(children_.size());
-    for (const StatGroup *child : children_)
-        child->saveAll(w);
-}
-
-void
-StatGroup::restoreAll(SnapshotReader &r)
-{
-    r.section("stat_group");
-    std::string name = r.str();
-    if (name != name_)
-        throw SnapshotError("stat group mismatch: snapshot has '" +
-                            name + "', live tree has '" + name_ + "'");
-    auto expect = [&](std::uint64_t live, const char *what) {
-        std::uint64_t saved = r.u64();
-        if (saved != live)
-            throw SnapshotError(
-                "stat group " + path() + ": snapshot has " +
-                std::to_string(saved) + " " + what + ", live has " +
-                std::to_string(live));
-    };
-    expect(counters_.size(), "counters");
+    ar.section("stat_group");
+    ar.expect(name_, "stat group");
+    ar.expect(counters_.size(), "stat group counter count");
     for (Counter *c : counters_)
-        c->restore(r);
-    expect(distributions_.size(), "distributions");
+        c->visit(ar);
+    ar.expect(distributions_.size(), "stat group distribution count");
     for (Distribution *d : distributions_)
-        d->restore(r);
-    expect(histograms_.size(), "histograms");
+        d->visit(ar);
+    ar.expect(histograms_.size(), "stat group histogram count");
     for (Histogram *h : histograms_)
-        h->restore(r);
-    expect(children_.size(), "children");
+        h->visit(ar);
+    ar.expect(children_.size(), "stat group child count");
     for (StatGroup *child : children_)
-        child->restoreAll(r);
+        child->visit(ar);
 }
 
 double

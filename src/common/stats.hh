@@ -21,8 +21,7 @@
 namespace morrigan
 {
 
-class SnapshotReader;
-class SnapshotWriter;
+class Archive;
 class StatGroup;
 class Counter;
 class Histogram;
@@ -60,8 +59,7 @@ class Counter
     std::uint64_t value() const { return value_; }
     void reset() { value_ = 0; }
 
-    void save(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
+    void visit(Archive &ar);
 
     const std::string &name() const { return name_; }
     const std::string &desc() const { return desc_; }
@@ -91,8 +89,7 @@ class Histogram
     std::uint64_t bucketBound(std::size_t i) const;
     void reset();
 
-    void save(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
+    void visit(Archive &ar);
 
     const std::string &name() const { return name_; }
     const std::string &desc() const { return desc_; }
@@ -120,8 +117,7 @@ class Distribution
     double sum() const { return sum_; }
     void reset();
 
-    void save(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
+    void visit(Archive &ar);
 
     const std::string &name() const { return name_; }
     const std::string &desc() const { return desc_; }
@@ -173,16 +169,14 @@ class StatGroup
     void resetAll();
 
     /**
-     * Serialize every stat in this subtree, depth-first in
+     * Save or restore every stat in this subtree, depth-first in
      * registration order. Group names and stat counts are embedded so
-     * restoreAll() detects any mismatch between the saved tree and
-     * the live one (e.g. a different component configuration).
+     * loading detects any mismatch between the saved tree and the
+     * live one (e.g. a different component configuration).
+     *
+     * @throws SnapshotError on any structural mismatch.
      */
-    void saveAll(SnapshotWriter &w) const;
-
-    /** Restore a subtree written by saveAll().
-     * @throws SnapshotError on any structural mismatch. */
-    void restoreAll(SnapshotReader &r);
+    void visit(Archive &ar);
 
   private:
     friend class Counter;

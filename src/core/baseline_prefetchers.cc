@@ -230,128 +230,76 @@ MarkovPrefetcher::storageBits() const
 }
 
 void
-StridePrefetcher::save(SnapshotWriter &w) const
+StridePrefetcher::visit(Archive &ar)
 {
-    w.section("asp");
-    table_.save(w, [](SnapshotWriter &sw, const AspEntry &e) {
-        sw.u64(e.lastVpn);
-        sw.i64(e.stride);
-        sw.b(e.confirmed);
+    ar.section("asp");
+    table_.visit(ar, [](Archive &a, AspEntry &e) {
+        a.u64(e.lastVpn);
+        a.i64(e.stride);
+        a.b(e.confirmed);
     });
-    w.u64(conflicts_);
-    w.u64(lookups_);
+    ar.u64(conflicts_);
+    ar.u64(lookups_);
 }
 
 void
-StridePrefetcher::restore(SnapshotReader &r)
+DistancePrefetcher::visit(Archive &ar)
 {
-    r.section("asp");
-    table_.restore(r, [](SnapshotReader &sr, AspEntry &e) {
-        e.lastVpn = sr.u64();
-        e.stride = sr.i64();
-        e.confirmed = sr.b();
-    });
-    conflicts_ = r.u64();
-    lookups_ = r.u64();
-}
-
-void
-DistancePrefetcher::save(SnapshotWriter &w) const
-{
-    w.section("dp");
-    table_.save(w, [](SnapshotWriter &sw, const DpEntry &e) {
+    ar.section("dp");
+    table_.visit(ar, [](Archive &a, DpEntry &e) {
         for (unsigned i = 0; i < slots; ++i) {
-            sw.i64(e.next[i]);
-            sw.b(e.valid[i]);
+            a.i64(e.next[i]);
+            a.b(e.valid[i]);
         }
-        sw.u8(e.lruVictim);
-    });
-    for (const History &h : hist_) {
-        w.u64(h.prevVpn);
-        w.i64(h.prevDist);
-        w.b(h.vpnValid);
-        w.b(h.distValid);
-    }
-    w.u64(conflicts_);
-    w.u64(lookups_);
-}
-
-void
-DistancePrefetcher::restore(SnapshotReader &r)
-{
-    r.section("dp");
-    table_.restore(r, [](SnapshotReader &sr, DpEntry &e) {
-        for (unsigned i = 0; i < slots; ++i) {
-            e.next[i] = sr.i64();
-            e.valid[i] = sr.b();
-        }
-        e.lruVictim = sr.u8();
+        a.u8(e.lruVictim);
     });
     for (History &h : hist_) {
-        h.prevVpn = r.u64();
-        h.prevDist = r.i64();
-        h.vpnValid = r.b();
-        h.distValid = r.b();
+        ar.u64(h.prevVpn);
+        ar.i64(h.prevDist);
+        ar.b(h.vpnValid);
+        ar.b(h.distValid);
     }
-    conflicts_ = r.u64();
-    lookups_ = r.u64();
+    ar.u64(conflicts_);
+    ar.u64(lookups_);
 }
 
 void
-MarkovPrefetcher::save(SnapshotWriter &w) const
+MarkovPrefetcher::visit(Archive &ar)
 {
-    w.section("mp");
-    w.b(unbounded());
-    auto saveEntry = [](SnapshotWriter &sw, const MpEntry &e) {
-        sw.u64(e.successors.size());
-        for (Vpn v : e.successors)
-            sw.u64(v);
+    ar.section("mp");
+    ar.expect(unbounded(), "MP bounded/unbounded mode");
+    auto visitEntry = [](Archive &a, MpEntry &e) {
+        e.successors.resize(a.count(e.successors.size()));
+        for (Vpn &v : e.successors)
+            a.u64(v);
     };
-    if (unbounded()) {
+    if (!unbounded()) {
+        table_.visit(ar, visitEntry);
+    } else if (ar.saving()) {
+        // Sorted by VPN so the image is independent of hash order.
         std::vector<Vpn> keys;
         keys.reserve(unboundedTable_.size());
         for (const auto &[vpn, e] : unboundedTable_)
             keys.push_back(vpn);
         std::sort(keys.begin(), keys.end());
-        w.u64(keys.size());
+        ar.count(keys.size());
         for (Vpn vpn : keys) {
-            w.u64(vpn);
-            saveEntry(w, unboundedTable_.at(vpn));
+            ar.u64(vpn);
+            visitEntry(ar, unboundedTable_.at(vpn));
         }
     } else {
-        table_.save(w, saveEntry);
-    }
-    for (const History &h : hist_) {
-        w.u64(h.prevVpn);
-        w.b(h.valid);
-    }
-}
-
-void
-MarkovPrefetcher::restore(SnapshotReader &r)
-{
-    r.section("mp");
-    if (r.b() != unbounded())
-        throw SnapshotError("MP bounded/unbounded mode mismatch");
-    auto loadEntry = [](SnapshotReader &sr, MpEntry &e) {
-        e.successors.assign(static_cast<std::size_t>(sr.u64()), 0);
-        for (Vpn &v : e.successors)
-            v = sr.u64();
-    };
-    if (unbounded()) {
         unboundedTable_.clear();
-        std::uint64_t n = r.u64();
+        std::uint64_t n = ar.count(0);
         unboundedTable_.reserve(n);
         for (std::uint64_t i = 0; i < n; ++i) {
-            Vpn vpn = r.u64();
-            loadEntry(r, unboundedTable_[vpn]);
+            Vpn vpn = 0;
+            ar.u64(vpn);
+            visitEntry(ar, unboundedTable_[vpn]);
         }
-    } else {
-        table_.restore(r, loadEntry);
     }
     for (History &h : hist_) {
-        h.prevVpn = r.u64();
-        h.valid = r.b();
+        ar.u64(h.prevVpn);
+        ar.b(h.valid);
     }
 }
 

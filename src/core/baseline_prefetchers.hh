@@ -69,8 +69,7 @@ class StridePrefetcher : public TlbPrefetcher
     std::uint64_t conflicts() const { return conflicts_; }
     std::uint64_t lookups() const { return lookups_; }
 
-    void save(SnapshotWriter &w) const override;
-    void restore(SnapshotReader &r) override;
+    void visit(Archive &ar) override;
 
   private:
     struct AspEntry
@@ -111,8 +110,7 @@ class DistancePrefetcher : public TlbPrefetcher
     std::uint64_t conflicts() const { return conflicts_; }
     std::uint64_t lookups() const { return lookups_; }
 
-    void save(SnapshotWriter &w) const override;
-    void restore(SnapshotReader &r) override;
+    void visit(Archive &ar) override;
 
   private:
     struct DpEntry
@@ -166,8 +164,7 @@ class MarkovPrefetcher : public TlbPrefetcher
 
     bool unbounded() const { return entries_ == 0; }
 
-    void save(SnapshotWriter &w) const override;
-    void restore(SnapshotReader &r) override;
+    void visit(Archive &ar) override;
 
   private:
     struct MpEntry

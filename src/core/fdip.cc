@@ -91,35 +91,19 @@ FdipPrefetcher::storageBits() const
 }
 
 void
-FdipPrefetcher::save(SnapshotWriter &w) const
+FdipPrefetcher::visit(Archive &ar)
 {
-    w.section("fdip");
-    table_.save(w, [](SnapshotWriter &sw, const FtqEntry &e) {
-        sw.u64(e.next);
-        sw.u8(e.confidence);
-    });
-    for (const History &h : hist_) {
-        w.u64(h.prevVpn);
-        w.b(h.valid);
-    }
-    w.u64(runahead_);
-    w.u64(creditedHits_);
-}
-
-void
-FdipPrefetcher::restore(SnapshotReader &r)
-{
-    r.section("fdip");
-    table_.restore(r, [](SnapshotReader &sr, FtqEntry &e) {
-        e.next = sr.u64();
-        e.confidence = sr.u8();
+    ar.section("fdip");
+    table_.visit(ar, [](Archive &a, FtqEntry &e) {
+        a.u64(e.next);
+        a.u8(e.confidence);
     });
     for (History &h : hist_) {
-        h.prevVpn = r.u64();
-        h.valid = r.b();
+        ar.u64(h.prevVpn);
+        ar.b(h.valid);
     }
-    runahead_ = r.u64();
-    creditedHits_ = r.u64();
+    ar.u64(runahead_);
+    ar.u64(creditedHits_);
 }
 
 void

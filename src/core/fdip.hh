@@ -67,8 +67,7 @@ class FdipPrefetcher : public TlbPrefetcher
     std::uint64_t runaheadPrefetches() const { return runahead_; }
     std::uint64_t creditedHits() const { return creditedHits_; }
 
-    void save(SnapshotWriter &w) const override;
-    void restore(SnapshotReader &r) override;
+    void visit(Archive &ar) override;
 
   private:
     struct FtqEntry

@@ -70,8 +70,7 @@ class FnlMmaTlbPrefetcher : public TlbPrefetcher
     std::uint64_t mmaPredictions() const { return mmaPredictions_; }
     std::uint64_t creditedHits() const { return creditedHits_; }
 
-    void save(SnapshotWriter &w) const override;
-    void restore(SnapshotReader &r) override;
+    void visit(Archive &ar) override;
 
   private:
     FnlMmaTlbParams params_;

@@ -116,45 +116,38 @@ class FrequencyStack
     std::uint64_t resets() const { return resets_; }
     std::size_t trackedPages() const { return population_; }
 
-    /** Serialize (entries emitted in sorted VPN order so the image
-     * is independent of hash-table layout). */
+    /** Save or restore (entries emitted in sorted VPN order so
+     * the image is independent of hash-table layout). */
     void
-    save(SnapshotWriter &w) const
+    visit(Archive &ar)
     {
-        w.section("freq_stack");
-        w.u64(resetInterval_);
-        w.u64(sinceReset_);
-        w.u64(resets_);
-        std::vector<std::pair<Vpn, std::uint32_t>> entries;
-        entries.reserve(population_);
-        for (std::size_t i = 0; i < capacity_; ++i)
-            if (stamp_[i] == epoch_)
-                entries.emplace_back(vpns_[i], counts_[i]);
-        std::sort(entries.begin(), entries.end());
-        w.u64(entries.size());
-        for (const auto &[vpn, f] : entries) {
-            w.u64(vpn);
-            w.u32(f);
+        ar.section("freq_stack");
+        ar.expect(resetInterval_, "frequency stack reset interval");
+        ar.u64(sinceReset_);
+        ar.u64(resets_);
+        if (ar.saving()) {
+            std::vector<std::pair<Vpn, std::uint32_t>> entries;
+            entries.reserve(population_);
+            for (std::size_t i = 0; i < capacity_; ++i)
+                if (stamp_[i] == epoch_)
+                    entries.emplace_back(vpns_[i], counts_[i]);
+            std::sort(entries.begin(), entries.end());
+            ar.count(entries.size());
+            for (auto &[vpn, f] : entries) {
+                ar.u64(vpn);
+                ar.u32(f);
+            }
+            return;
         }
-    }
-
-    void
-    restore(SnapshotReader &r)
-    {
-        r.section("freq_stack");
-        std::uint64_t interval = r.u64();
-        if (interval != resetInterval_)
-            throw SnapshotError(
-                "frequency stack reset interval mismatch");
-        sinceReset_ = r.u64();
-        resets_ = r.u64();
         bumpEpoch();
-        std::uint64_t n = r.u64();
+        std::uint64_t n = ar.count(0);
         while (capacity_ < 2 * n)
             rehash(capacity_ << 1);
         for (std::uint64_t k = 0; k < n; ++k) {
-            Vpn vpn = r.u64();
-            std::uint32_t f = r.u32();
+            Vpn vpn = 0;
+            std::uint32_t f = 0;
+            ar.u64(vpn);
+            ar.u32(f);
             std::size_t i = findSlot(vpn);
             vpns_[i] = vpn;
             counts_[i] = f;

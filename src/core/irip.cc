@@ -281,57 +281,29 @@ Irip::storageBits() const
 }
 
 void
-Irip::save(SnapshotWriter &w) const
+Irip::visit(Archive &ar)
 {
-    w.section("irip");
-    freq_.save(w);
-    rng_.save(w);
-    w.u64(tables_.size());
-    for (const auto &t : tables_)
-        t->save(w);
-    for (const History &h : hist_) {
-        w.u64(h.prevVpn);
-        w.i64(h.prevTable);
-        w.b(h.valid);
-    }
-    w.u64(stats_.lookups);
-    w.u64(stats_.hits);
-    for (std::uint64_t v : stats_.hitsPerTable)
-        w.u64(v);
-    w.u64(stats_.inserts);
-    w.u64(stats_.transfers);
-    w.u64(stats_.slotReplacements);
-    w.u64(stats_.distanceOutOfRange);
-    w.u64(stats_.prefetchesIssued);
-    w.u64(stats_.staleUpdates);
-}
-
-void
-Irip::restore(SnapshotReader &r)
-{
-    r.section("irip");
-    freq_.restore(r);
-    rng_.restore(r);
-    std::uint64_t n = r.u64();
-    if (n != tables_.size())
-        throw SnapshotError("IRIP table count mismatch");
+    ar.section("irip");
+    freq_.visit(ar);
+    rng_.visit(ar);
+    ar.expect(tables_.size(), "IRIP table count");
     for (auto &t : tables_)
-        t->restore(r);
+        t->visit(ar);
     for (History &h : hist_) {
-        h.prevVpn = r.u64();
-        h.prevTable = static_cast<int>(r.i64());
-        h.valid = r.b();
+        ar.u64(h.prevVpn);
+        ar.i64(h.prevTable);
+        ar.b(h.valid);
     }
-    stats_.lookups = r.u64();
-    stats_.hits = r.u64();
+    ar.u64(stats_.lookups);
+    ar.u64(stats_.hits);
     for (std::uint64_t &v : stats_.hitsPerTable)
-        v = r.u64();
-    stats_.inserts = r.u64();
-    stats_.transfers = r.u64();
-    stats_.slotReplacements = r.u64();
-    stats_.distanceOutOfRange = r.u64();
-    stats_.prefetchesIssued = r.u64();
-    stats_.staleUpdates = r.u64();
+        ar.u64(v);
+    ar.u64(stats_.inserts);
+    ar.u64(stats_.transfers);
+    ar.u64(stats_.slotReplacements);
+    ar.u64(stats_.distanceOutOfRange);
+    ar.u64(stats_.prefetchesIssued);
+    ar.u64(stats_.staleUpdates);
 }
 
 } // namespace morrigan

@@ -108,8 +108,7 @@ class Irip : public TlbPrefetcher
      */
     bool entryResidesInMultipleTables(Vpn vpn) const;
 
-    void save(SnapshotWriter &w) const override;
-    void restore(SnapshotReader &r) override;
+    void visit(Archive &ar) override;
 
   private:
     void updatePreviousEntry(Vpn prev_vpn, int prev_table,

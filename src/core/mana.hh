@@ -78,8 +78,7 @@ class ManaPrefetcher : public TlbPrefetcher
     std::uint64_t hobConflicts() const { return hobConflicts_; }
     std::uint64_t creditedHits() const { return creditedHits_; }
 
-    void save(SnapshotWriter &w) const override;
-    void restore(SnapshotReader &r) override;
+    void visit(Archive &ar) override;
 
   private:
     struct ManaRecord

@@ -69,19 +69,11 @@ class MorriganPrefetcher : public TlbPrefetcher
     std::uint64_t sdpActivations() const { return sdpActivations_; }
 
     void
-    save(SnapshotWriter &w) const override
+    visit(Archive &ar) override
     {
-        w.section("morrigan_pf");
-        irip_.save(w);
-        w.u64(sdpActivations_);
-    }
-
-    void
-    restore(SnapshotReader &r) override
-    {
-        r.section("morrigan_pf");
-        irip_.restore(r);
-        sdpActivations_ = r.u64();
+        ar.section("morrigan_pf");
+        irip_.visit(ar);
+        ar.u64(sdpActivations_);
     }
 
   private:

@@ -160,37 +160,20 @@ PmpPrefetcher::storageBits() const
 }
 
 void
-PmpPrefetcher::save(SnapshotWriter &w) const
+PmpPrefetcher::visit(Archive &ar)
 {
-    w.section("pmp");
-    acc_.save(w, [](SnapshotWriter &sw, const AccEntry &e) {
-        sw.u32(e.footprint);
-        sw.u8(e.triggerOffset);
-        sw.u32(e.pcSig);
+    ar.section("pmp");
+    acc_.visit(ar, [](Archive &a, AccEntry &e) {
+        a.u32(e.footprint);
+        a.u8(e.triggerOffset);
+        a.u32(e.pcSig);
     });
-    pattern_.save(w, [](SnapshotWriter &sw, const PatternEntry &e) {
-        for (std::uint8_t c : e.counter)
-            sw.u8(c);
-    });
-    w.u64(commits_);
-    w.u64(creditedHits_);
-}
-
-void
-PmpPrefetcher::restore(SnapshotReader &r)
-{
-    r.section("pmp");
-    acc_.restore(r, [](SnapshotReader &sr, AccEntry &e) {
-        e.footprint = static_cast<std::uint16_t>(sr.u32());
-        e.triggerOffset = sr.u8();
-        e.pcSig = static_cast<std::uint16_t>(sr.u32());
-    });
-    pattern_.restore(r, [](SnapshotReader &sr, PatternEntry &e) {
+    pattern_.visit(ar, [](Archive &a, PatternEntry &e) {
         for (std::uint8_t &c : e.counter)
-            c = sr.u8();
+            a.u8(c);
     });
-    commits_ = r.u64();
-    creditedHits_ = r.u64();
+    ar.u64(commits_);
+    ar.u64(creditedHits_);
 }
 
 void

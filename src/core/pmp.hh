@@ -84,8 +84,7 @@ class PmpPrefetcher : public TlbPrefetcher
     std::uint64_t committedPatterns() const { return commits_; }
     std::uint64_t creditedHits() const { return creditedHits_; }
 
-    void save(SnapshotWriter &w) const override;
-    void restore(SnapshotReader &r) override;
+    void visit(Archive &ar) override;
 
   private:
     /** One region whose footprint is still being observed. */

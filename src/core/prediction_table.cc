@@ -300,71 +300,46 @@ PredictionTable::storageBits() const
 }
 
 void
-PredictionTable::save(SnapshotWriter &w) const
+PredictionTable::visit(Archive &ar)
 {
-    w.section("prt");
-    w.str(geom_.name);
-    w.u32(geom_.entries);
-    w.u32(geom_.ways);
-    w.u32(geom_.slots);
-    w.u64(useClock_);
-    for (const PrtEntry &e : entries_) {
-        w.b(e.valid);
-        if (!e.valid)
-            continue;
-        w.u32(e.tag);
-        w.u64(e.vpn);
-        w.u64(e.lastUse);
-        w.u64(e.slots.size());
-        for (const PrtSlot &s : e.slots) {
-            w.b(s.valid);
-            w.i64(s.distance);
-            w.u8(s.confidence);
-        }
-    }
-}
-
-void
-PredictionTable::restore(SnapshotReader &r)
-{
-    r.section("prt");
-    std::string name = r.str();
-    std::uint32_t entries = r.u32();
-    std::uint32_t ways = r.u32();
-    std::uint32_t slots = r.u32();
-    if (name != geom_.name || entries != geom_.entries ||
-        ways != geom_.ways || slots != geom_.slots)
-        throw SnapshotError("prediction table '" + geom_.name +
-                            "': snapshot geometry mismatch ('" + name +
-                            "')");
-    useClock_ = r.u64();
-    population_ = 0;
+    ar.section("prt");
+    ar.expect(geom_.name, "prediction table name");
+    ar.expect(geom_.entries, "prediction table entries");
+    ar.expect(geom_.ways, "prediction table ways");
+    ar.expect(geom_.slots, "prediction table slots");
+    ar.u64(useClock_);
+    const bool loading = !ar.saving();
+    if (loading)
+        population_ = 0;
     for (std::uint32_t i = 0; i < geom_.entries; ++i) {
         PrtEntry &e = entries_[i];
-        bool live = r.b();
-        if (!live) {
-            e = PrtEntry{};
-            tags_[i] = 0;
-            valid_[i] = 0;
+        ar.b(e.valid);
+        if (!e.valid) {
+            if (loading) {
+                e = PrtEntry{};
+                tags_[i] = 0;
+                valid_[i] = 0;
+            }
             continue;
         }
-        e.valid = true;
-        e.tag = static_cast<std::uint16_t>(r.u32());
-        e.vpn = r.u64();
-        e.lastUse = r.u64();
-        std::uint64_t nslots = r.u64();
+        ar.u32(e.tag);
+        ar.u64(e.vpn);
+        ar.u64(e.lastUse);
+        std::uint64_t nslots = ar.count(e.slots.size());
         if (nslots > PrtSlotList::maxSlots)
             throw SnapshotError("prediction table '" + geom_.name +
                                 "': slot count out of range");
         e.slots.resize(static_cast<std::size_t>(nslots));
         for (PrtSlot &s : e.slots) {
-            s.valid = r.b();
-            s.distance = r.i64();
-            s.confidence = r.u8();
+            ar.b(s.valid);
+            ar.i64(s.distance);
+            ar.u8(s.confidence);
         }
-        tags_[i] = e.tag;
-        valid_[i] = 1;
-        ++population_;
+        if (loading) {
+            tags_[i] = e.tag;
+            valid_[i] = 1;
+            ++population_;
+        }
     }
 }
 

@@ -193,10 +193,9 @@ class PredictionTable
     /** Hardware bits: entries * (tag + slots * (distance + conf)). */
     std::size_t storageBits() const;
 
-    /** Serialize entries + LRU clock (the shared frequency stack and
-     * RNG are saved by their owner, not here). */
-    void save(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
+    /** Save or restore entries + LRU clock (the shared frequency
+     * stack and RNG are visited by their owner, not here). */
+    void visit(Archive &ar);
 
     /** Apply @p fn to every valid entry (tests / invariants). */
     template <typename Fn>

@@ -130,23 +130,12 @@ CompositePrefetcher::frequencyStackResets() const
 }
 
 void
-CompositePrefetcher::save(SnapshotWriter &w) const
+CompositePrefetcher::visit(Archive &ar)
 {
-    w.section("composite_pf");
-    w.u64(members_.size());
+    ar.section("composite_pf");
+    ar.expect(members_.size(), "composite prefetcher member count");
     for (const auto &m : members_)
-        m->save(w);
-}
-
-void
-CompositePrefetcher::restore(SnapshotReader &r)
-{
-    r.section("composite_pf");
-    if (r.u64() != members_.size())
-        throw SnapshotError("composite prefetcher member count "
-                            "mismatch");
-    for (const auto &m : members_)
-        m->restore(r);
+        m->visit(ar);
 }
 
 std::vector<std::string>

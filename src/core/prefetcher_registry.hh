@@ -119,8 +119,7 @@ class CompositePrefetcher : public TlbPrefetcher
 
     std::uint64_t frequencyStackResets() const override;
 
-    void save(SnapshotWriter &w) const override;
-    void restore(SnapshotReader &r) override;
+    void visit(Archive &ar) override;
 
     std::size_t memberCount() const { return members_.size(); }
     TlbPrefetcher &member(std::size_t i) { return *members_[i]; }

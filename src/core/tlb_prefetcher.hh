@@ -84,16 +84,15 @@ class TlbPrefetcher
     virtual std::uint64_t frequencyStackResets() const { return 0; }
 
     /**
-     * Serialize all mutable prediction state into a simulator
-     * snapshot. Stateless engines inherit this no-op; engines with
-     * tables/history/RNG state override both hooks (a stateful engine
-     * overriding neither would silently resume cold, so the simulator
-     * snapshot embeds name() and the restore side verifies it).
+     * Save or restore all mutable prediction state as part of a
+     * simulator snapshot. Stateless engines inherit this no-op;
+     * engines with tables, history or RNG state override it. The
+     * simulator snapshot embeds name() and the restore side verifies
+     * it. PrefetcherRegistry.EveryPluginResumesWarm in
+     * tests/test_prefetcher_registry.cc checks that every registered
+     * engine resumes warm.
      */
-    virtual void save(SnapshotWriter &w) const { (void)w; }
-
-    /** Restore state written by save(). */
-    virtual void restore(SnapshotReader &r) { (void)r; }
+    virtual void visit(Archive &ar) { (void)ar; }
 };
 
 } // namespace morrigan

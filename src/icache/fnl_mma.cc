@@ -58,36 +58,19 @@ FnlMmaPrefetcher::onFetch(Addr pc, bool l1i_miss,
 }
 
 void
-FnlMmaPrefetcher::save(SnapshotWriter &w) const
+FnlMmaPrefetcher::visit(Archive &ar)
 {
-    w.section("fnl_mma");
-    mmaTable_.save(w, [](SnapshotWriter &sw, const MmaEntry &e) {
-        sw.u64(e.future);
-        sw.u8(e.confidence);
+    ar.section("fnl_mma");
+    mmaTable_.visit(ar, [](Archive &a, MmaEntry &e) {
+        a.u64(e.future);
+        a.u8(e.confidence);
     });
-    w.u64(missHistory_.size());
-    for (Addr line : missHistory_)
-        w.u64(line);
-    w.u64(histPos_);
-    w.u64(missCount_);
-    w.u64(mmaPredictions_);
-}
-
-void
-FnlMmaPrefetcher::restore(SnapshotReader &r)
-{
-    r.section("fnl_mma");
-    mmaTable_.restore(r, [](SnapshotReader &sr, MmaEntry &e) {
-        e.future = sr.u64();
-        e.confidence = sr.u8();
-    });
-    if (r.u64() != missHistory_.size())
-        throw SnapshotError("FNL+MMA miss-history depth mismatch");
+    ar.expect(missHistory_.size(), "FNL+MMA miss-history depth");
     for (Addr &line : missHistory_)
-        line = r.u64();
-    histPos_ = r.u64();
-    missCount_ = r.u64();
-    mmaPredictions_ = r.u64();
+        ar.u64(line);
+    ar.u64(histPos_);
+    ar.u64(missCount_);
+    ar.u64(mmaPredictions_);
 }
 
 } // namespace morrigan

@@ -56,8 +56,7 @@ class FnlMmaPrefetcher : public ICachePrefetcher
 
     std::uint64_t mmaPredictions() const { return mmaPredictions_; }
 
-    void save(SnapshotWriter &w) const override;
-    void restore(SnapshotReader &r) override;
+    void visit(Archive &ar) override;
 
   private:
     FnlMmaParams params_;

@@ -44,12 +44,11 @@ class ICachePrefetcher
     virtual bool crossesPageBoundaries() const = 0;
 
     /**
-     * Checkpoint support. The defaults serialize nothing, which is
+     * Checkpoint support. The default serializes nothing, which is
      * correct for stateless prefetchers (next-line); stateful engines
-     * override both.
+     * override it.
      */
-    virtual void save(SnapshotWriter &w) const { (void)w; }
-    virtual void restore(SnapshotReader &r) { (void)r; }
+    virtual void visit(Archive &ar) { (void)ar; }
 };
 
 /**

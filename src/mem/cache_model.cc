@@ -61,58 +61,44 @@ CacheModel::flush()
 }
 
 void
-CacheModel::save(SnapshotWriter &w) const
+CacheModel::visit(Archive &ar)
 {
-    w.section("cache");
-    w.str(params_.name);
-    w.u32(numSets_);
-    w.u32(params_.ways);
-    w.u64(useClock_);
+    ar.section("cache");
+    ar.expect(params_.name, "cache name");
+    ar.expect(numSets_, "cache sets");
+    ar.expect(params_.ways, "cache ways");
+    ar.u64(useClock_);
     // Line addresses, not lane tags, in set-major way-minor order:
     // the format of the original nested layout, byte for byte.
-    for (std::uint32_t set = 0; set < numSets_; ++set) {
-        const std::uint32_t *row = rowOf(set);
-        for (std::uint32_t way = 0; way < params_.ways; ++way) {
-            bool valid = row[way] != 0;
-            w.b(valid);
-            if (!valid)
-                continue;
-            std::uint64_t r = rec(row, static_cast<int>(way));
-            w.u64(row[way] - 1);
-            w.b((r & 1) != 0);
-            w.u64(r >> 1);
-        }
-    }
-}
-
-void
-CacheModel::restore(SnapshotReader &r)
-{
-    r.section("cache");
-    std::string name = r.str();
-    if (name != params_.name || r.u32() != numSets_ ||
-        r.u32() != params_.ways)
-        throw SnapshotError("cache '" + params_.name +
-                            "': snapshot geometry mismatch ('" + name +
-                            "')");
-    useClock_ = r.u64();
+    const bool loading = !ar.saving();
     for (std::uint32_t set = 0; set < numSets_; ++set) {
         std::uint32_t *row = rowOf(set);
         for (std::uint32_t way = 0; way < params_.ways; ++way) {
             const int w = static_cast<int>(way);
-            if (!r.b()) {
-                row[way] = 0;
-                setRec(row, w, 0);
+            bool valid = row[way] != 0;
+            ar.b(valid);
+            if (!valid) {
+                if (loading) {
+                    row[way] = 0;
+                    setRec(row, w, 0);
+                }
                 continue;
             }
-            std::uint64_t line = r.u64();
+            std::uint64_t line = row[way] - 1;
+            std::uint64_t r = rec(row, w);
+            bool pf = (r & 1) != 0;
+            std::uint64_t use = r >> 1;
+            ar.u64(line);
+            ar.b(pf);
+            ar.u64(use);
+            if (!loading)
+                continue;
             if (line >= lineLimit)
                 throw SnapshotError(
                     "cache '" + params_.name +
                     "': snapshot line exceeds the 32-bit tag lane");
             row[way] = static_cast<std::uint32_t>(line) + 1;
-            bool pf = r.b();
-            setRec(row, w, (r.u64() << 1) | (pf ? 1 : 0));
+            setRec(row, w, (use << 1) | (pf ? 1 : 0));
         }
     }
 }

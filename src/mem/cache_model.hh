@@ -177,8 +177,7 @@ class CacheModel
     const CacheParams &params() const { return params_; }
     std::uint32_t numSets() const { return numSets_; }
 
-    void save(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
+    void visit(Archive &ar);
 
     std::uint64_t demandAccesses() const { return accesses_.value(); }
     std::uint64_t demandMisses() const { return misses_.value(); }

@@ -40,22 +40,12 @@ DramModel::access(Addr addr)
 }
 
 void
-DramModel::save(SnapshotWriter &w) const
+DramModel::visit(Archive &ar)
 {
-    w.section("dram");
-    w.u64(openRow_.size());
-    for (std::int64_t row : openRow_)
-        w.i64(row);
-}
-
-void
-DramModel::restore(SnapshotReader &r)
-{
-    r.section("dram");
-    if (r.u64() != openRow_.size())
-        throw SnapshotError("DRAM bank count mismatch");
+    ar.section("dram");
+    ar.expect(openRow_.size(), "DRAM bank count");
     for (std::int64_t &row : openRow_)
-        row = r.i64();
+        ar.i64(row);
 }
 
 } // namespace morrigan

@@ -43,8 +43,7 @@ class DramModel
     std::uint64_t rowHits() const { return rowHits_.value(); }
     std::uint64_t rowConflicts() const { return rowConflicts_.value(); }
 
-    void save(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
+    void visit(Archive &ar);
 
   private:
     DramParams params_;

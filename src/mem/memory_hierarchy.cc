@@ -123,25 +123,14 @@ MemoryHierarchy::commitInstructionPrefetch(Addr paddr)
 }
 
 void
-MemoryHierarchy::save(SnapshotWriter &w) const
+MemoryHierarchy::visit(Archive &ar)
 {
-    w.section("mem_hierarchy");
-    l1i_.save(w);
-    l1d_.save(w);
-    l2_.save(w);
-    llc_.save(w);
-    dram_.save(w);
-}
-
-void
-MemoryHierarchy::restore(SnapshotReader &r)
-{
-    r.section("mem_hierarchy");
-    l1i_.restore(r);
-    l1d_.restore(r);
-    l2_.restore(r);
-    llc_.restore(r);
-    dram_.restore(r);
+    ar.section("mem_hierarchy");
+    l1i_.visit(ar);
+    l1d_.visit(ar);
+    l2_.visit(ar);
+    llc_.visit(ar);
+    dram_.visit(ar);
 }
 
 } // namespace morrigan

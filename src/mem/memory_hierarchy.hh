@@ -83,8 +83,7 @@ class MemoryHierarchy
     const CacheModel &l2() const { return l2_; }
     const CacheModel &llc() const { return llc_; }
 
-    void save(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
+    void visit(Archive &ar);
 
   private:
     MemAccessResult accessThrough(Addr line, CacheModel &l1);

@@ -219,102 +219,64 @@ namespace
 {
 
 void
-saveInputs(SnapshotWriter &w, const IntervalInputs &in)
+visitInputs(Archive &ar, IntervalInputs &in)
 {
-    w.u64(in.instructions);
-    w.f64(in.cycles);
-    w.u64(in.istlbMisses);
-    w.u64(in.pbHits);
-    w.u64(in.demandWalksInstr);
-    w.u64(in.prefetchWalks);
-    w.u64(in.freqResets);
-    w.u64(in.walkerBusyPortCycles);
-    w.u32(in.walkerPorts);
-    for (std::uint64_t v : in.issued)
-        w.u64(v);
-    for (std::uint64_t v : in.hits)
-        w.u64(v);
+    ar.u64(in.instructions);
+    ar.f64(in.cycles);
+    ar.u64(in.istlbMisses);
+    ar.u64(in.pbHits);
+    ar.u64(in.demandWalksInstr);
+    ar.u64(in.prefetchWalks);
+    ar.u64(in.freqResets);
+    ar.u64(in.walkerBusyPortCycles);
+    ar.u32(in.walkerPorts);
+    for (std::uint64_t &v : in.issued)
+        ar.u64(v);
+    for (std::uint64_t &v : in.hits)
+        ar.u64(v);
 }
 
 void
-loadInputs(SnapshotReader &r, IntervalInputs &in)
+visitSample(Archive &ar, IntervalSample &s)
 {
-    in.instructions = r.u64();
-    in.cycles = r.f64();
-    in.istlbMisses = r.u64();
-    in.pbHits = r.u64();
-    in.demandWalksInstr = r.u64();
-    in.prefetchWalks = r.u64();
-    in.freqResets = r.u64();
-    in.walkerBusyPortCycles = r.u64();
-    in.walkerPorts = r.u32();
-    for (std::uint64_t &v : in.issued)
-        v = r.u64();
-    for (std::uint64_t &v : in.hits)
-        v = r.u64();
+    ar.u64(s.epoch);
+    ar.u64(s.instructions);
+    ar.u64(s.instrDelta);
+    ar.f64(s.cycleDelta);
+    ar.u64(s.istlbMisses);
+    ar.f64(s.istlbMpki);
+    ar.u64(s.pbHits);
+    ar.f64(s.pbHitRate);
+    ar.u64(s.demandWalksInstr);
+    ar.u64(s.prefetchWalks);
+    ar.u64(s.freqResets);
+    ar.f64(s.walkerOccupancy);
+    for (std::uint64_t &v : s.issued)
+        ar.u64(v);
+    for (std::uint64_t &v : s.hits)
+        ar.u64(v);
 }
 
 } // anonymous namespace
 
 void
-IntervalSampler::save(SnapshotWriter &w) const
+IntervalSampler::visit(Archive &ar)
 {
-    w.section("interval_sampler");
-    w.u64(interval_);
-    saveInputs(w, prev_);
-    w.u64(epochs_);
-    w.u64(ring_.size());
-    for (const IntervalSample &s : ring_) {
-        w.u64(s.epoch);
-        w.u64(s.instructions);
-        w.u64(s.instrDelta);
-        w.f64(s.cycleDelta);
-        w.u64(s.istlbMisses);
-        w.f64(s.istlbMpki);
-        w.u64(s.pbHits);
-        w.f64(s.pbHitRate);
-        w.u64(s.demandWalksInstr);
-        w.u64(s.prefetchWalks);
-        w.u64(s.freqResets);
-        w.f64(s.walkerOccupancy);
-        for (std::uint64_t v : s.issued)
-            w.u64(v);
-        for (std::uint64_t v : s.hits)
-            w.u64(v);
-    }
-}
-
-void
-IntervalSampler::restore(SnapshotReader &r)
-{
-    r.section("interval_sampler");
-    if (r.u64() != interval_)
-        throw SnapshotError("interval sampler epoch length mismatch");
-    loadInputs(r, prev_);
-    epochs_ = r.u64();
-    std::uint64_t count = r.u64();
+    ar.section("interval_sampler");
+    ar.expect(interval_, "interval sampler epoch length");
+    visitInputs(ar, prev_);
+    ar.u64(epochs_);
+    const std::uint64_t count = ar.count(ring_.size());
     if (count > ringCapacity_)
         throw SnapshotError("interval sampler ring overflow");
-    ring_.clear();
+    const bool loading = !ar.saving();
+    if (loading)
+        ring_.clear();
     for (std::uint64_t i = 0; i < count; ++i) {
-        IntervalSample s;
-        s.epoch = r.u64();
-        s.instructions = r.u64();
-        s.instrDelta = r.u64();
-        s.cycleDelta = r.f64();
-        s.istlbMisses = r.u64();
-        s.istlbMpki = r.f64();
-        s.pbHits = r.u64();
-        s.pbHitRate = r.f64();
-        s.demandWalksInstr = r.u64();
-        s.prefetchWalks = r.u64();
-        s.freqResets = r.u64();
-        s.walkerOccupancy = r.f64();
-        for (std::uint64_t &v : s.issued)
-            v = r.u64();
-        for (std::uint64_t &v : s.hits)
-            v = r.u64();
-        ring_.push(s);
+        IntervalSample s = loading ? IntervalSample{} : ring_.at(i);
+        visitSample(ar, s);
+        if (loading)
+            ring_.push(s);
     }
 }
 

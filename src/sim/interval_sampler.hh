@@ -218,8 +218,7 @@ class IntervalSampler
 
     /** Checkpoint the delta baseline, epoch count and ring. The
      * streaming sink is external and not serialized. */
-    void save(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
+    void visit(Archive &ar);
 
   private:
     void emit(const IntervalSample &s);

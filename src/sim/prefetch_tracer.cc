@@ -393,21 +393,12 @@ PrefetchTracer::writeSummaryJson(std::ostream &os) const
 }
 
 void
-PrefetchTracer::save(SnapshotWriter &w) const
+PrefetchTracer::visit(Archive &ar)
 {
-    w.section("tracer");
-    w.b(measuring_);
-    w.u64(nextId_);
-    w.u64(firstMeasuredId_);
-}
-
-void
-PrefetchTracer::restore(SnapshotReader &r)
-{
-    r.section("tracer");
-    measuring_ = r.b();
-    nextId_ = r.u64();
-    firstMeasuredId_ = r.u64();
+    ar.section("tracer");
+    ar.b(measuring_);
+    ar.u64(nextId_);
+    ar.u64(firstMeasuredId_);
 }
 
 } // namespace morrigan

@@ -167,10 +167,9 @@ class PrefetchTracer : public PbObserver
     /**
      * Checkpoint the id/window scalars. The per-component counters
      * live in the simulator's stats tree and ride its tree-wide
-     * save/restore; the event sink is external and not serialized.
+     * visit; the event sink is external and not serialized.
      */
-    void save(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
+    void visit(Archive &ar);
 
   private:
     struct ComponentStats;

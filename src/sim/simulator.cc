@@ -724,7 +724,7 @@ Simulator::maybeCheckpoint()
 }
 
 void
-Simulator::save(SnapshotWriter &w) const
+Simulator::visit(Archive &ar)
 {
     if (checker_)
         throw SnapshotError(
@@ -734,7 +734,7 @@ Simulator::save(SnapshotWriter &w) const
         throw SnapshotError(
             "miss-stream collection is not snapshottable");
 
-    w.section("simulator");
+    ar.section("simulator");
 
     // Configuration fingerprint: restoring into a differently
     // configured simulator must fail loudly, not resume quietly.
@@ -742,178 +742,100 @@ Simulator::save(SnapshotWriter &w) const
     // is valid for any measurement budget (that is what makes it
     // shareable across a sweep), and checkpoints are keyed by the
     // full experiment key at the orchestration layer.
-    w.u64(cfg_.warmupInstructions);
-    w.u32(numThreads_);
-    w.u8(static_cast<std::uint8_t>(cfg_.icachePref));
-    w.str(prefetcher_ ? prefetcher_->name() : "none");
-    w.b(tracer_ != nullptr);
-    w.b(sampler_ != nullptr);
+    ar.expect(cfg_.warmupInstructions, "warmup budget");
+    ar.expect(numThreads_, "thread count");
+    ar.expect(static_cast<std::uint8_t>(cfg_.icachePref),
+              "I-cache prefetcher kind");
+    ar.expect(std::string(prefetcher_ ? prefetcher_->name() : "none"),
+              "prefetcher");
+    ar.expect(tracer_ != nullptr, "tracer attachment");
+    ar.expect(sampler_ != nullptr, "interval sampler attachment");
 
     // Run position.
-    w.b(measurePhase_);
-    w.f64(cycles_);
-    w.f64(measureStartCycles_);
-    w.u64(sinceContextSwitch_);
+    ar.b(measurePhase_);
+    ar.f64(cycles_);
+    ar.f64(measureStartCycles_);
+    ar.u64(sinceContextSwitch_);
     for (unsigned tid = 0; tid < numThreads_; ++tid)
-        w.u64(lastFetchLine_[tid]);
-    w.u64(instrDemandWalkSeq_);
-    w.u64(nextSampleAt_);
+        ar.u64(lastFetchLine_[tid]);
+    ar.u64(instrDemandWalkSeq_);
+    ar.u64(nextSampleAt_);
 
     // Measurement counters.
-    w.u64(c_.instructions);
-    w.u64(c_.l1iMisses);
-    w.u64(c_.itlbMisses);
-    w.u64(c_.istlbMisses);
-    w.u64(c_.dstlbMisses);
-    w.u64(c_.pbHits);
-    w.u64(c_.pbHitsIrip);
-    w.u64(c_.pbHitsSdp);
-    w.u64(c_.pbHitsICache);
-    w.f64(c_.istlbStallCycles);
-    w.f64(c_.icacheStallCycles);
-    w.f64(c_.dataStallCycles);
-    w.u64(c_.demandWalksInstr);
-    w.u64(c_.demandWalksData);
-    w.u64(c_.demandWalkRefsInstr);
-    w.u64(c_.demandWalkRefsData);
-    w.u64(c_.prefetchWalks);
-    w.u64(c_.prefetchWalkRefs);
-    for (std::uint64_t v : c_.prefetchWalkRefsByLevel)
-        w.u64(v);
-    w.f64(c_.demandWalkLatInstrSum);
-    w.f64(c_.demandWalkLatDataSum);
-    w.u64(c_.prefetchesDiscarded);
-    w.u64(c_.icachePrefetches);
-    w.u64(c_.icacheCrossPage);
-    w.u64(c_.icacheCrossPageNeedingWalk);
-    w.u64(c_.icacheCrossPagePbHits);
-    w.u64(c_.contextSwitches);
-    w.u64(c_.correctingWalks);
-    for (std::uint64_t v : c_.pbHitDistance)
-        w.u64(v);
+    ar.u64(c_.instructions);
+    ar.u64(c_.l1iMisses);
+    ar.u64(c_.itlbMisses);
+    ar.u64(c_.istlbMisses);
+    ar.u64(c_.dstlbMisses);
+    ar.u64(c_.pbHits);
+    ar.u64(c_.pbHitsIrip);
+    ar.u64(c_.pbHitsSdp);
+    ar.u64(c_.pbHitsICache);
+    ar.f64(c_.istlbStallCycles);
+    ar.f64(c_.icacheStallCycles);
+    ar.f64(c_.dataStallCycles);
+    ar.u64(c_.demandWalksInstr);
+    ar.u64(c_.demandWalksData);
+    ar.u64(c_.demandWalkRefsInstr);
+    ar.u64(c_.demandWalkRefsData);
+    ar.u64(c_.prefetchWalks);
+    ar.u64(c_.prefetchWalkRefs);
+    for (std::uint64_t &v : c_.prefetchWalkRefsByLevel)
+        ar.u64(v);
+    ar.f64(c_.demandWalkLatInstrSum);
+    ar.f64(c_.demandWalkLatDataSum);
+    ar.u64(c_.prefetchesDiscarded);
+    ar.u64(c_.icachePrefetches);
+    ar.u64(c_.icacheCrossPage);
+    ar.u64(c_.icacheCrossPageNeedingWalk);
+    ar.u64(c_.icacheCrossPagePbHits);
+    ar.u64(c_.contextSwitches);
+    ar.u64(c_.correctingWalks);
+    for (std::uint64_t &v : c_.pbHitDistance)
+        ar.u64(v);
 
-    // In-flight I-prefetch line fills (drained in readyAt order).
-    auto fills = pendingLineFills_;
-    w.u64(fills.size());
-    while (!fills.empty()) {
-        w.u64(fills.top().first);
-        w.u64(fills.top().second);
-        fills.pop();
+    // In-flight I-prefetch line fills, in readyAt order.
+    if (ar.saving()) {
+        auto fills = pendingLineFills_;
+        ar.count(fills.size());
+        for (; !fills.empty(); fills.pop()) {
+            PendingFill fill = fills.top();
+            ar.u64(fill.first);
+            ar.u64(fill.second);
+        }
+    } else {
+        pendingLineFills_ = {};
+        for (std::uint64_t n = ar.count(0); n > 0; --n) {
+            PendingFill fill;
+            ar.u64(fill.first);
+            ar.u64(fill.second);
+            pendingLineFills_.push(fill);
+        }
     }
 
     // Components, construction order.
-    phys_.save(w);
-    pageTable_.save(w);
-    mem_.save(w);
-    walker_.save(w);
-    tlbs_.save(w);
-    pb_.save(w);
+    phys_.visit(ar);
+    pageTable_.visit(ar);
+    mem_.visit(ar);
+    walker_.visit(ar);
+    tlbs_.visit(ar);
+    pb_.visit(ar);
     for (unsigned tid = 0; tid < numThreads_; ++tid)
-        workloads_[tid]->save(w);
+        workloads_[tid]->visit(ar);
     if (prefetcher_)
-        prefetcher_->save(w);
+        prefetcher_->visit(ar);
     if (icachePref_)
-        icachePref_->save(w);
+        icachePref_->visit(ar);
     if (tracer_)
-        tracer_->save(w);
+        tracer_->visit(ar);
     if (sampler_)
-        sampler_->save(w);
+        sampler_->visit(ar);
 
     // The whole stats tree last: every Counter/Histogram/Distribution
-    // registered anywhere above, restored in registration order.
-    rootStats_.saveAll(w);
-}
+    // registered anywhere above, in registration order.
+    rootStats_.visit(ar);
 
-void
-Simulator::restore(SnapshotReader &r)
-{
-    r.section("simulator");
-
-    if (r.u64() != cfg_.warmupInstructions)
-        throw SnapshotError("warmup budget mismatch");
-    if (r.u32() != numThreads_)
-        throw SnapshotError("thread count mismatch");
-    if (r.u8() != static_cast<std::uint8_t>(cfg_.icachePref))
-        throw SnapshotError("I-cache prefetcher kind mismatch");
-    std::string pf = r.str();
-    std::string live = prefetcher_ ? prefetcher_->name() : "none";
-    if (pf != live)
-        throw SnapshotError("prefetcher mismatch: snapshot has '" +
-                            pf + "', simulator has '" + live + "'");
-    if (r.b() != (tracer_ != nullptr))
-        throw SnapshotError("tracer attachment mismatch");
-    if (r.b() != (sampler_ != nullptr))
-        throw SnapshotError("interval sampler attachment mismatch");
-
-    measurePhase_ = r.b();
-    cycles_ = r.f64();
-    measureStartCycles_ = r.f64();
-    sinceContextSwitch_ = r.u64();
-    for (unsigned tid = 0; tid < numThreads_; ++tid)
-        lastFetchLine_[tid] = r.u64();
-    instrDemandWalkSeq_ = r.u64();
-    nextSampleAt_ = r.u64();
-
-    c_.instructions = r.u64();
-    c_.l1iMisses = r.u64();
-    c_.itlbMisses = r.u64();
-    c_.istlbMisses = r.u64();
-    c_.dstlbMisses = r.u64();
-    c_.pbHits = r.u64();
-    c_.pbHitsIrip = r.u64();
-    c_.pbHitsSdp = r.u64();
-    c_.pbHitsICache = r.u64();
-    c_.istlbStallCycles = r.f64();
-    c_.icacheStallCycles = r.f64();
-    c_.dataStallCycles = r.f64();
-    c_.demandWalksInstr = r.u64();
-    c_.demandWalksData = r.u64();
-    c_.demandWalkRefsInstr = r.u64();
-    c_.demandWalkRefsData = r.u64();
-    c_.prefetchWalks = r.u64();
-    c_.prefetchWalkRefs = r.u64();
-    for (std::uint64_t &v : c_.prefetchWalkRefsByLevel)
-        v = r.u64();
-    c_.demandWalkLatInstrSum = r.f64();
-    c_.demandWalkLatDataSum = r.f64();
-    c_.prefetchesDiscarded = r.u64();
-    c_.icachePrefetches = r.u64();
-    c_.icacheCrossPage = r.u64();
-    c_.icacheCrossPageNeedingWalk = r.u64();
-    c_.icacheCrossPagePbHits = r.u64();
-    c_.contextSwitches = r.u64();
-    c_.correctingWalks = r.u64();
-    for (std::uint64_t &v : c_.pbHitDistance)
-        v = r.u64();
-
-    pendingLineFills_ = {};
-    std::uint64_t fills = r.u64();
-    for (std::uint64_t i = 0; i < fills; ++i) {
-        Cycle ready = r.u64();
-        Addr paddr = r.u64();
-        pendingLineFills_.emplace(ready, paddr);
-    }
-
-    phys_.restore(r);
-    pageTable_.restore(r);
-    mem_.restore(r);
-    walker_.restore(r);
-    tlbs_.restore(r);
-    pb_.restore(r);
-    for (unsigned tid = 0; tid < numThreads_; ++tid)
-        workloads_[tid]->restore(r);
-    if (prefetcher_)
-        prefetcher_->restore(r);
-    if (icachePref_)
-        icachePref_->restore(r);
-    if (tracer_)
-        tracer_->restore(r);
-    if (sampler_)
-        sampler_->restore(r);
-
-    rootStats_.restoreAll(r);
-
-    if (checkpointEvery_ != 0)
+    if (!ar.saving() && checkpointEvery_ != 0)
         nextCheckpointAt_ =
             (progressInstructions() / checkpointEvery_ + 1) *
             checkpointEvery_;
@@ -924,7 +846,9 @@ Simulator::saveCheckpoint(const std::string &path) const
 {
     telemetry::ScopedSpan span(telemetry::Phase::CheckpointSave);
     SnapshotWriter w;
-    save(w);
+    Archive ar(w);
+    // Saving leaves every field as it found it.
+    const_cast<Simulator *>(this)->visit(ar);
     w.writeToFile(path, progressInstructions(), totalInstructions());
 }
 
@@ -932,7 +856,8 @@ void
 Simulator::restoreCheckpoint(const std::string &path)
 {
     SnapshotReader r(path);
-    restore(r);
+    Archive ar(r);
+    visit(ar);
     r.finish();
 }
 

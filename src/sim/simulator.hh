@@ -115,20 +115,16 @@ class Simulator
     void setWarmupImagePath(std::string path);
 
     /**
-     * Serialize the full simulator state: every component, the
+     * Save or restore the full simulator state: every component, the
      * workload generators, the stats tree and the run position.
+     * Restoring requires an identically configured simulator (same
+     * SimConfig, workloads, prefetcher and observability
+     * attachments); any mismatch throws SnapshotError and leaves the
+     * caller to re-simulate.
      * @throws SnapshotError for configurations whose state cannot be
      * captured (differential checker, miss-stream collection).
      */
-    void save(SnapshotWriter &w) const;
-
-    /**
-     * Restore a state written by save(). The simulator must be
-     * configured identically (same SimConfig, workloads, prefetcher
-     * and observability attachments); any mismatch throws
-     * SnapshotError and leaves the caller to re-simulate.
-     */
-    void restore(SnapshotReader &r);
+    void visit(Archive &ar);
 
     /** Write a snapshot image to @p path now (atomic publish). */
     void saveCheckpoint(const std::string &path) const;

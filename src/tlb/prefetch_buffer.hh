@@ -154,8 +154,7 @@ class PrefetchBuffer
 
     /** Serialize buffered entries + producer-hit accounting (the
      * observer pointer is runtime wiring and is not saved). */
-    void save(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
+    void visit(Archive &ar);
 
     /** Apply @p fn to every resident entry (tracer finalisation). */
     template <typename Fn>

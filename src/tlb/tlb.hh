@@ -144,8 +144,7 @@ class Tlb
 
     /** Serialize translations + LRU state (counters are restored by
      * the stats-tree pass, not here). */
-    void save(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
+    void visit(Archive &ar);
 
     const TlbParams &params() const { return params_; }
 

@@ -68,21 +68,12 @@ TlbHierarchy::flush()
 }
 
 void
-TlbHierarchy::save(SnapshotWriter &w) const
+TlbHierarchy::visit(Archive &ar)
 {
-    w.section("tlb_hierarchy");
-    itlb_.save(w);
-    dtlb_.save(w);
-    stlb_.save(w);
-}
-
-void
-TlbHierarchy::restore(SnapshotReader &r)
-{
-    r.section("tlb_hierarchy");
-    itlb_.restore(r);
-    dtlb_.restore(r);
-    stlb_.restore(r);
+    ar.section("tlb_hierarchy");
+    itlb_.visit(ar);
+    dtlb_.visit(ar);
+    stlb_.visit(ar);
 }
 
 } // namespace morrigan

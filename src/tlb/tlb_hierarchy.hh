@@ -67,8 +67,7 @@ class TlbHierarchy
     /** Flush everything (context switch). */
     void flush();
 
-    void save(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
+    void visit(Archive &ar);
 
     Tlb &itlb() { return itlb_; }
     Tlb &dtlb() { return dtlb_; }

@@ -309,140 +309,105 @@ PageTable::lineNeighbors(Vpn vpn, unsigned *count) const
 }
 
 void
-PageTable::saveNode(SnapshotWriter &w, const Node &n) const
+PageTable::visitNode(Archive &ar, std::int32_t ni, Vpn prefix)
 {
-    w.u64(n.frame);
-    // Leaves, then large leaves, then children -- each in ascending
-    // index order, byte-identical to the sorted-map emission of the
-    // unordered_map-based layout.
-    std::uint64_t leaf_count = 0;
-    for (std::uint32_t i = 0; i < radixFanout; ++i)
-        leaf_count += n.hasLeaf(i);
-    w.u64(leaf_count);
-    for (std::uint32_t i = 0; i < radixFanout; ++i) {
-        if (n.hasLeaf(i)) {
-            w.u32(i);
-            w.u64(n.leaf[i]);
-        }
-    }
-    std::uint64_t large_count = 0;
-    for (std::uint32_t i = 0; i < radixFanout; ++i)
-        large_count += n.hasLargeLeaf(i);
-    w.u64(large_count);
-    for (std::uint32_t i = 0; i < radixFanout; ++i) {
-        if (n.hasLargeLeaf(i)) {
-            w.u32(i);
-            w.u64(n.largeLeaf[i]);
-        }
-    }
-    std::uint64_t child_count = 0;
-    for (std::uint32_t i = 0; i < radixFanout; ++i)
-        child_count += n.child[i] != noNode;
-    w.u64(child_count);
-    for (std::uint32_t i = 0; i < radixFanout; ++i) {
-        if (n.child[i] != noNode) {
-            w.u32(i);
-            saveNode(w, arena_[n.child[i]]);
-        }
-    }
-}
-
-void
-PageTable::restoreNode(SnapshotReader &r, std::int32_t ni, Vpn prefix)
-{
-    // The arena may reallocate while children are restored, so
+    // Leaves, then large leaves, then children -- each a count and
+    // (index, value) pairs in ascending index order, byte-identical
+    // to the sorted-map emission of the unordered_map-based layout.
+    // The arena may reallocate while children are loaded, so
     // arena_[ni] is re-resolved after every recursive call.
-    arena_[ni] = Node{};
-    arena_[ni].frame = r.u64();
-    std::uint64_t leaves = r.u64();
-    for (std::uint64_t i = 0; i < leaves; ++i) {
-        std::uint32_t idx = r.u32();
-        if (idx >= radixFanout)
-            throw SnapshotError("page table leaf index out of range");
-        Pfn pfn = r.u64();
-        arena_[ni].setLeaf(idx, pfn);
-        // Only PT-level nodes carry 4KB leaves, so the accumulated
-        // prefix is the full VPN head.
-        map4k_.insert((prefix << radixBits) | idx, pfn);
-    }
-    std::uint64_t larges = r.u64();
-    for (std::uint64_t i = 0; i < larges; ++i) {
-        std::uint32_t idx = r.u32();
-        if (idx >= radixFanout)
-            throw SnapshotError("page table leaf index out of range");
-        Pfn pfn = r.u64();
-        arena_[ni].setLargeLeaf(idx, pfn);
-        map2m_.insert(((prefix << radixBits) | idx) << radixBits, pfn);
-        anyLarge_ = true;
-    }
-    std::uint64_t children = r.u64();
-    for (std::uint64_t i = 0; i < children; ++i) {
-        std::uint32_t idx = r.u32();
-        if (idx >= radixFanout)
-            throw SnapshotError("page table child index out of range");
-        arena_.emplace_back();
-        std::int32_t ci =
-            static_cast<std::int32_t>(arena_.size() - 1);
-        arena_[ni].child[idx] = ci;
-        restoreNode(r, ci, (prefix << radixBits) | idx);
-    }
-}
-
-void
-PageTable::save(SnapshotWriter &w) const
-{
-    w.section("page_table");
-    w.u8(static_cast<std::uint8_t>(format_));
-    w.u32(levels_);
-    if (format_ == PageTableFormat::Radix) {
-        saveNode(w, arena_[0]);
-    } else {
-        w.u64(hashBase_);
-        w.u64(buckets_.size());
-        for (Vpn b : buckets_)
-            w.u64(b);
-        std::vector<std::pair<Vpn, Pfn>> leaves;
-        leaves.reserve(map4k_.size());
-        map4k_.forEach([&leaves](Vpn vpn, Pfn pfn) {
-            leaves.emplace_back(vpn, pfn);
-        });
-        std::sort(leaves.begin(), leaves.end());
-        w.u64(leaves.size());
-        for (const auto &[vpn, pfn] : leaves) {
-            w.u64(vpn);
-            w.u64(pfn);
+    const bool loading = !ar.saving();
+    if (loading)
+        arena_[ni] = Node{};
+    ar.u64(arena_[ni].frame);
+    auto sparse = [&](auto present, auto each) {
+        std::uint64_t n = 0;
+        for (std::uint32_t i = 0; !loading && i < radixFanout; ++i)
+            n += present(i);
+        ar.u64(n);
+        std::uint32_t idx = 0;
+        for (std::uint64_t k = 0; k < n; ++k, ++idx) {
+            while (!loading && !present(idx))
+                ++idx;
+            ar.u32(idx);
+            if (idx >= radixFanout)
+                throw SnapshotError("page table index out of range");
+            each(idx);
         }
-    }
-    w.u64(hashProbes_);
+    };
+    sparse([&](std::uint32_t i) { return arena_[ni].hasLeaf(i); },
+           [&](std::uint32_t idx) {
+               Pfn pfn = arena_[ni].leaf[idx];
+               ar.u64(pfn);
+               if (!loading)
+                   return;
+               arena_[ni].setLeaf(idx, pfn);
+               // Only PT-level nodes carry 4KB leaves, so the
+               // accumulated prefix is the full VPN head.
+               map4k_.insert((prefix << radixBits) | idx, pfn);
+           });
+    sparse([&](std::uint32_t i) { return arena_[ni].hasLargeLeaf(i); },
+           [&](std::uint32_t idx) {
+               Pfn pfn = arena_[ni].largeLeaf[idx];
+               ar.u64(pfn);
+               if (!loading)
+                   return;
+               arena_[ni].setLargeLeaf(idx, pfn);
+               map2m_.insert(((prefix << radixBits) | idx) << radixBits,
+                             pfn);
+               anyLarge_ = true;
+           });
+    sparse([&](std::uint32_t i) { return arena_[ni].child[i] != noNode; },
+           [&](std::uint32_t idx) {
+               if (loading) {
+                   arena_.emplace_back();
+                   arena_[ni].child[idx] =
+                       static_cast<std::int32_t>(arena_.size() - 1);
+               }
+               visitNode(ar, arena_[ni].child[idx],
+                         (prefix << radixBits) | idx);
+           });
 }
 
 void
-PageTable::restore(SnapshotReader &r)
+PageTable::visit(Archive &ar)
 {
-    r.section("page_table");
-    if (static_cast<PageTableFormat>(r.u8()) != format_ ||
-        r.u32() != levels_)
-        throw SnapshotError("page table format/levels mismatch");
-    map4k_.clear(64);
-    map2m_.clear(64);
-    anyLarge_ = false;
+    ar.section("page_table");
+    ar.expect(static_cast<std::uint8_t>(format_), "page table format");
+    ar.expect(static_cast<std::uint32_t>(levels_), "page table levels");
+    const bool loading = !ar.saving();
+    if (loading) {
+        map4k_.clear(64);
+        map2m_.clear(64);
+        anyLarge_ = false;
+    }
     if (format_ == PageTableFormat::Radix) {
-        arena_.resize(1);
-        restoreNode(r, 0, 0);
+        if (loading)
+            arena_.resize(1);
+        visitNode(ar, 0, 0);
     } else {
-        hashBase_ = r.u64();
-        std::uint64_t nbuckets = r.u64();
-        if (nbuckets != buckets_.size())
-            throw SnapshotError("hashed page table size mismatch");
+        ar.u64(hashBase_);
+        ar.expect(buckets_.size(), "hashed page table size");
         for (Vpn &b : buckets_)
-            b = r.u64();
-        std::uint64_t n = r.u64();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            Vpn vpn = r.u64();
-            map4k_.insert(vpn, r.u64());
+            ar.u64(b);
+        // Sorted by VPN so the image is independent of map layout.
+        std::vector<std::pair<Vpn, Pfn>> leaves;
+        if (!loading) {
+            leaves.reserve(map4k_.size());
+            map4k_.forEach([&leaves](Vpn vpn, Pfn pfn) {
+                leaves.emplace_back(vpn, pfn);
+            });
+            std::sort(leaves.begin(), leaves.end());
+        }
+        leaves.resize(ar.count(leaves.size()));
+        for (auto &[vpn, pfn] : leaves) {
+            ar.u64(vpn);
+            ar.u64(pfn);
+            if (loading)
+                map4k_.insert(vpn, pfn);
         }
     }
-    hashProbes_ = r.u64();
+    ar.u64(hashProbes_);
 }
 
 } // namespace morrigan

@@ -192,11 +192,10 @@ class PageTable
      */
     void setObserver(PageTableObserver *obs) { observer_ = obs; }
 
-    /** Serialize the whole table (radix tree or hashed array); node
+    /** Save or restore the whole table (radix tree or hashed array); node
      * leaf/child sets are emitted in ascending index order, matching
      * the sorted-map order of earlier image versions. */
-    void save(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
+    void visit(Archive &ar);
 
   private:
     /** Absent child / arena link. */
@@ -344,10 +343,9 @@ class PageTable
     /** Child at @p idx of arena node @p ni, creating it if needed. */
     std::int32_t ensureChild(std::int32_t ni, std::uint32_t idx);
     const Node *findLeafNode(Vpn vpn) const;
-    void saveNode(SnapshotWriter &w, const Node &n) const;
-    /** Rebuild arena node @p ni; @p prefix is the VPN head above it
-     * (used to refeed the flat translation maps). */
-    void restoreNode(SnapshotReader &r, std::int32_t ni, Vpn prefix);
+    /** Save or rebuild arena node @p ni; @p prefix is the VPN head
+     * above it (used to refeed the flat translation maps). */
+    void visitNode(Archive &ar, std::int32_t ni, Vpn prefix);
     WalkPath walkHashed(Vpn vpn, bool allocate);
     /** Bucket index for a group, probing linearly from its hash;
      * returns the capacity if absent and allocate is false. */

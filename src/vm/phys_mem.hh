@@ -42,21 +42,12 @@ class PhysMem
     /** Only the allocation cursor is mutable; the scatter permutation
      * is a pure function of (seed, index) and needs no saving. */
     void
-    save(SnapshotWriter &w) const
+    visit(Archive &ar)
     {
-        w.section("phys_mem");
-        w.u64(totalFrames_);
-        w.u64(scatterSeed_);
-        w.u64(next_);
-    }
-
-    void
-    restore(SnapshotReader &r)
-    {
-        r.section("phys_mem");
-        if (r.u64() != totalFrames_ || r.u64() != scatterSeed_)
-            throw SnapshotError("phys mem configuration mismatch");
-        next_ = r.u64();
+        ar.section("phys_mem");
+        ar.expect(totalFrames_, "phys mem frame count");
+        ar.expect(scatterSeed_, "phys mem scatter seed");
+        ar.u64(next_);
     }
 
   private:

@@ -90,23 +90,13 @@ PageStructureCache::flush()
 }
 
 void
-PageStructureCache::save(SnapshotWriter &w) const
+PageStructureCache::visit(Archive &ar)
 {
-    w.section("psc");
-    auto noValue = [](SnapshotWriter &, const Empty &) {};
-    pml4_.save(w, noValue);
-    pdp_.save(w, noValue);
-    pd_.save(w, noValue);
-}
-
-void
-PageStructureCache::restore(SnapshotReader &r)
-{
-    r.section("psc");
-    auto noValue = [](SnapshotReader &, Empty &) {};
-    pml4_.restore(r, noValue);
-    pdp_.restore(r, noValue);
-    pd_.restore(r, noValue);
+    ar.section("psc");
+    auto noValue = [](Archive &, Empty &) {};
+    pml4_.visit(ar, noValue);
+    pdp_.visit(ar, noValue);
+    pd_.visit(ar, noValue);
 }
 
 } // namespace morrigan

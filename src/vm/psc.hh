@@ -60,8 +60,7 @@ class PageStructureCache
     /** Clear all three levels. Used on context-switch tests. */
     void flush();
 
-    void save(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
+    void visit(Archive &ar);
 
     Cycle latency() const { return params_.latency; }
 

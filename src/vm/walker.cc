@@ -126,28 +126,15 @@ PageTableWalker::walk(Vpn vpn, WalkKind kind, Cycle now, bool allocate)
 }
 
 void
-PageTableWalker::save(SnapshotWriter &w) const
+PageTableWalker::visit(Archive &ar)
 {
-    w.section("walker");
-    psc_.save(w);
-    w.u64(portBusyUntil_.size());
-    for (Cycle c : portBusyUntil_)
-        w.u64(c);
-    for (std::uint64_t v : prefetchRefsByLevel_)
-        w.u64(v);
-}
-
-void
-PageTableWalker::restore(SnapshotReader &r)
-{
-    r.section("walker");
-    psc_.restore(r);
-    if (r.u64() != portBusyUntil_.size())
-        throw SnapshotError("walker port count mismatch");
+    ar.section("walker");
+    psc_.visit(ar);
+    ar.expect(portBusyUntil_.size(), "walker port count");
     for (Cycle &c : portBusyUntil_)
-        c = r.u64();
+        ar.u64(c);
     for (std::uint64_t &v : prefetchRefsByLevel_)
-        v = r.u64();
+        ar.u64(v);
 }
 
 } // namespace morrigan

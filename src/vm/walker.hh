@@ -134,8 +134,7 @@ class PageTableWalker
 
     /** Serialize port occupancy + PSC + raw per-level accounting
      * (the page table saves itself; counters ride the stats tree). */
-    void save(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
+    void visit(Archive &ar);
 
   private:
     WalkerParams params_;

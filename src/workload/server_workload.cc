@@ -372,75 +372,40 @@ ServerWorkload::tierOfVpn(Vpn vpn) const
 }
 
 void
-ServerWorkload::save(SnapshotWriter &w) const
+ServerWorkload::visit(Archive &ar)
 {
-    w.section("server_workload");
-    w.str(params_.name);
-    rng_.save(w);
+    ar.section("server_workload");
+    ar.expect(params_.name, "workload name");
+    rng_.visit(ar);
 
     // Paths mutate at phase changes, so they are position state.
-    w.u32(static_cast<std::uint32_t>(paths_.size()));
-    for (const auto &path : paths_) {
-        w.u32(static_cast<std::uint32_t>(path.size()));
-        for (std::uint32_t page : path)
-            w.u32(page);
-    }
-
-    w.u32(currentType_);
-    w.u64(pathPos_);
-    w.u32(currentPage_);
-    w.u64(currentOffset_);
-    w.u64(runRemaining_);
-    w.u64(instrCount_);
-    w.u64(nextPhaseAt_);
-    w.u64(phaseChanges_);
-    w.b(deviating_);
-    w.u64(streamPos_);
-}
-
-void
-ServerWorkload::restore(SnapshotReader &r)
-{
-    r.section("server_workload");
-    std::string name = r.str();
-    if (name != params_.name)
-        throw SnapshotError("workload name mismatch: snapshot has '" +
-                            name + "', expected '" + params_.name +
-                            "'");
-    rng_.restore(r);
-
-    std::uint32_t num_paths = r.u32();
-    if (num_paths != params_.numRequestTypes)
-        throw SnapshotError("workload '" + params_.name +
-                            "': request-type count mismatch");
-    paths_.clear();
-    paths_.reserve(num_paths);
-    for (std::uint32_t t = 0; t < num_paths; ++t) {
-        std::uint32_t len = r.u32();
-        std::vector<std::uint32_t> path;
-        path.reserve(len);
-        for (std::uint32_t i = 0; i < len; ++i) {
-            std::uint32_t page = r.u32();
+    ar.expect(params_.numRequestTypes, "workload request-type count");
+    for (auto &path : paths_) {
+        std::uint32_t len = static_cast<std::uint32_t>(path.size());
+        ar.u32(len);
+        path.resize(len);
+        for (std::uint32_t &page : path) {
+            ar.u32(page);
             if (page >= params_.codePages)
                 throw SnapshotError("workload '" + params_.name +
                                     "': path page out of range");
-            path.push_back(page);
         }
-        paths_.push_back(std::move(path));
     }
 
-    currentType_ = r.u32();
-    pathPos_ = r.u64();
-    currentPage_ = r.u32();
-    currentOffset_ = r.u64();
-    runRemaining_ = r.u64();
-    instrCount_ = r.u64();
-    nextPhaseAt_ = r.u64();
-    phaseChanges_ = r.u64();
-    deviating_ = r.b();
-    streamPos_ = r.u64();
+    ar.u32(currentType_);
+    ar.u64(pathPos_);
+    ar.u32(currentPage_);
+    ar.u64(currentOffset_);
+    ar.u64(runRemaining_);
+    ar.u64(instrCount_);
+    ar.u64(nextPhaseAt_);
+    ar.u64(phaseChanges_);
+    ar.b(deviating_);
+    ar.u64(streamPos_);
+    // pathPos_ may legally sit past the end of its path: a phase
+    // change can rebuild the running request's path shorter, and
+    // next() starts a new request when it gets there.
     if (currentType_ >= paths_.size() ||
-        pathPos_ >= paths_[currentType_].size() ||
         currentPage_ >= params_.codePages)
         throw SnapshotError("workload '" + params_.name +
                             "': run state out of range");

@@ -156,13 +156,12 @@ class ServerWorkload : public TraceSource
     int tierOfVpn(Vpn vpn) const;
 
     /**
-     * Serialize the generator's position: RNG, the request paths
+     * Save or restore the generator's position: RNG, the request paths
      * (phase changes regenerate them at runtime) and the run/data
      * state. The page layout is a pure function of the parameters and
      * is rebuilt by the constructor, not saved.
      */
-    void save(SnapshotWriter &w) const override;
-    void restore(SnapshotReader &r) override;
+    void visit(Archive &ar) override;
 
   private:
     void layoutPages();

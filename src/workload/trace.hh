@@ -82,26 +82,17 @@ class TraceSource
     }
 
     /**
-     * Serialize the source's stream position so a resumed simulation
-     * replays the exact remaining instruction sequence. Sources that
-     * cannot express their position (e.g. a non-seekable recorded
-     * trace) keep these defaults, which reject snapshotting; the
-     * simulator degrades to checkpoint-less operation rather than
+     * Save or restore the source's stream position so a resumed
+     * simulation replays the exact remaining instruction sequence.
+     * Sources that cannot express their position (e.g. a non-seekable
+     * recorded trace) keep this default, which rejects snapshotting;
+     * the simulator degrades to checkpoint-less operation rather than
      * resuming a silently different stream.
      */
     virtual void
-    save(SnapshotWriter &w) const
+    visit(Archive &ar)
     {
-        (void)w;
-        throw SnapshotError("trace source '" + name() +
-                            "' does not support snapshots");
-    }
-
-    /** Restore a position written by save(). */
-    virtual void
-    restore(SnapshotReader &r)
-    {
-        (void)r;
+        (void)ar;
         throw SnapshotError("trace source '" + name() +
                             "' does not support snapshots");
     }

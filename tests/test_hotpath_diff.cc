@@ -26,6 +26,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "archive_util.hh"
 #include "common/assoc_table.hh"
 #include "common/rng.hh"
 #include "common/snapshot.hh"
@@ -246,11 +247,9 @@ driveCacheDiff(const CacheParams &params, std::uint64_t seed,
 }
 
 std::string
-savedBytes(const CacheModel &c)
+savedBytes(CacheModel &c)
 {
-    SnapshotWriter w;
-    c.save(w);
-    return w.payload();
+    return savePayload(c);
 }
 
 std::string
@@ -504,8 +503,7 @@ TEST(HotpathDiff, CacheModelSaveMatchesReferenceFormat)
         ASSERT_EQ(firstDiff(savedBytes(opt), bytes), -1) << params.name;
 
         CacheModel restored(params);
-        SnapshotReader r = SnapshotReader::fromPayload(bytes);
-        restored.restore(r);
+        loadPayload(restored, bytes);
         EXPECT_EQ(firstDiff(savedBytes(restored), bytes), -1)
             << params.name;
         driveCacheOps(restored, ref, seed + 1, 50000);
@@ -549,8 +547,7 @@ TEST(HotpathDiff, CacheModelTagEdgeLines)
     const std::string bytes = savedBytes(ref);
     ASSERT_EQ(firstDiff(savedBytes(opt), bytes), -1);
     CacheModel restored(params);
-    SnapshotReader r = SnapshotReader::fromPayload(bytes);
-    restored.restore(r);
+    loadPayload(restored, bytes);
     EXPECT_EQ(firstDiff(savedBytes(restored), bytes), -1);
     EXPECT_TRUE(restored.contains(top));
     EXPECT_FALSE(restored.contains(0));
@@ -558,9 +555,8 @@ TEST(HotpathDiff, CacheModelTagEdgeLines)
     // A snapshot line the 32-bit lane cannot hold is refused.
     RefCache wide(params);
     wide.insert(top + 1);
-    SnapshotReader rw = SnapshotReader::fromPayload(savedBytes(wide));
     CacheModel target(params);
-    EXPECT_THROW(target.restore(rw), SnapshotError);
+    EXPECT_THROW(loadPayload(target, savedBytes(wide)), SnapshotError);
 }
 
 TEST(HotpathDiffDeathTest, LineBeyondTagLaneIsFatal)
@@ -655,14 +651,15 @@ class RefHierarchy
     }
 
     void
-    save(SnapshotWriter &w) const
+    save(SnapshotWriter &w)
     {
         w.section("mem_hierarchy");
         l1i_.save(w);
         l1d_.save(w);
         l2_.save(w);
         llc_.save(w);
-        dram_.save(w);
+        Archive ar(w);
+        dram_.visit(ar);
     }
 
     /** Counter values keyed "<group>.<counter>" like the production
@@ -820,10 +817,9 @@ driveHierarchyDiff(const MemoryHierarchyParams &params,
 
     // The hierarchy's snapshot is byte-identical to the original
     // format, so images written before the row layout restore.
-    SnapshotWriter wo, wr;
-    opt.save(wo);
+    SnapshotWriter wr;
     ref.save(wr);
-    EXPECT_EQ(firstDiff(wo.payload(), wr.payload()), -1);
+    EXPECT_EQ(firstDiff(savePayload(opt), wr.payload()), -1);
 }
 
 } // namespace

@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include "archive_util.hh"
+#include "common/rng.hh"
 #include "core/fdip.hh"
 #include "core/fnl_mma_tlb.hh"
 #include "core/mana.hh"
@@ -292,12 +294,10 @@ TEST(Composite, SnapshotRoundTripsMembersInOrder)
     miss(*a, 1);
     miss(*a, 2);
 
-    SnapshotWriter w;
-    a->save(w);
+    const std::string image = savePayload(*a);
 
     auto b = makePrefetcher("fdip+fnl-mma");
-    SnapshotReader r = SnapshotReader::fromPayload(w.payload());
-    b->restore(r);
+    loadPayload(*b, image);
 
     // Both images must now behave identically.
     auto out_a = miss(*a, 1);
@@ -310,12 +310,10 @@ TEST(Composite, SnapshotRoundTripsMembersInOrder)
 TEST(Composite, SnapshotMemberCountMismatchThrows)
 {
     auto two = makePrefetcher("fdip+fnl-mma");
-    SnapshotWriter w;
-    two->save(w);
+    const std::string image = savePayload(*two);
 
     auto three = makePrefetcher("fdip+fnl-mma+mana");
-    SnapshotReader r = SnapshotReader::fromPayload(w.payload());
-    EXPECT_THROW(three->restore(r), SnapshotError);
+    EXPECT_THROW(loadPayload(*three, image), SnapshotError);
 }
 
 TEST(CompositeDeathTest, FewerThanTwoMembersIsFatal)
@@ -397,11 +395,9 @@ TEST(FnlMmaTlb, SnapshotRoundTrip)
         for (Vpn v : loop)
             miss(a, v);
 
-    SnapshotWriter w;
-    a.save(w);
+    const std::string image = savePayload(a);
     FnlMmaTlbPrefetcher b;
-    SnapshotReader r = SnapshotReader::fromPayload(w.payload());
-    b.restore(r);
+    loadPayload(b, image);
 
     EXPECT_EQ(b.mmaPredictions(), a.mmaPredictions());
     auto out_a = miss(a, 100);
@@ -496,11 +492,9 @@ TEST(Mana, SnapshotRoundTrip)
     miss(a, 200);
     miss(a, 300);
 
-    SnapshotWriter w;
-    a.save(w);
+    const std::string image = savePayload(a);
     ManaPrefetcher b;
-    SnapshotReader r = SnapshotReader::fromPayload(w.payload());
-    b.restore(r);
+    loadPayload(b, image);
 
     EXPECT_EQ(b.recordsCommitted(), a.recordsCommitted());
     EXPECT_EQ(b.hobConflicts(), a.hobConflicts());
@@ -514,14 +508,12 @@ TEST(Mana, SnapshotRoundTrip)
 TEST(Mana, SnapshotHobSizeMismatchThrows)
 {
     ManaPrefetcher a;
-    SnapshotWriter w;
-    a.save(w);
+    const std::string image = savePayload(a);
 
     ManaParams small;
     small.hobEntries = 32;
     ManaPrefetcher b(small);
-    SnapshotReader r = SnapshotReader::fromPayload(w.payload());
-    EXPECT_THROW(b.restore(r), SnapshotError);
+    EXPECT_THROW(loadPayload(b, image), SnapshotError);
 }
 
 TEST(ManaDeathTest, RejectsUnsupportedGeometry)
@@ -641,11 +633,9 @@ TEST(Fdip, SnapshotRoundTrip)
         for (Vpn v : {1, 2, 3, 4})
             miss(a, v);
 
-    SnapshotWriter w;
-    a.save(w);
+    const std::string image = savePayload(a);
     FdipPrefetcher b;
-    SnapshotReader r = SnapshotReader::fromPayload(w.payload());
-    b.restore(r);
+    loadPayload(b, image);
 
     EXPECT_EQ(b.runaheadPrefetches(), a.runaheadPrefetches());
     auto out_a = miss(a, 1);
@@ -777,11 +767,9 @@ TEST(Pmp, SnapshotRoundTrip)
         pmpFlushSet0(a, 0x110 + 0x50 * lap);
     }
 
-    SnapshotWriter w;
-    a.save(w);
+    const std::string image = savePayload(a);
     PmpPrefetcher b;
-    SnapshotReader r = SnapshotReader::fromPayload(w.payload());
-    b.restore(r);
+    loadPayload(b, image);
 
     EXPECT_EQ(b.committedPatterns(), a.committedPatterns());
     auto out_a = miss(a, 0x1000, pc);
@@ -804,4 +792,91 @@ TEST(Pmp, ContextSwitchForgetsTraining)
     ASSERT_FALSE(miss(pf, 0x1000, pc).empty());
     pf.onContextSwitch();
     EXPECT_TRUE(miss(pf, 0x1000, pc).empty());
+}
+
+// ---------------------------------------------------------------
+// Roster-wide resume: every registered engine (and a composition)
+// continues from a restored image exactly as the original does.
+// ---------------------------------------------------------------
+
+namespace
+{
+
+/**
+ * A fixed iSTLB miss stream with the structure the engines learn
+ * from: a looping code path with small deltas, detours to random
+ * pages, two SMT threads and per-page PCs. A fraction of the issued
+ * prefetches is credited back as PB hits.
+ */
+class MissStream
+{
+  public:
+    explicit MissStream(std::uint64_t seed) : rng_(seed, 0x51) {}
+
+    /** Feed the next miss to @p p and @return what it issued. */
+    std::vector<PrefetchRequest>
+    step(TlbPrefetcher &p)
+    {
+        Vpn vpn;
+        if (rng_.chance(0.8)) {
+            pos_ = (pos_ + 1) % pathLength;
+            vpn = 0x40000 + pos_ * 3 + (pos_ % 7 == 0 ? 17 : 0);
+        } else {
+            vpn = 0x40000 + rng_.below(4 * pathLength);
+        }
+        const unsigned tid = (count_++ / 64) % 2;
+        auto out = miss(p, vpn, 0x400000 + (vpn & 0xff) * 64, tid);
+        for (const PrefetchRequest &r : out)
+            if (rng_.chance(0.3))
+                p.creditPbHit(r.tag);
+        return out;
+    }
+
+  private:
+    static constexpr std::uint64_t pathLength = 300;
+    Rng rng_;
+    std::uint64_t pos_ = 0;
+    std::uint64_t count_ = 0;
+};
+
+} // namespace
+
+TEST(PrefetcherRegistry, EveryPluginResumesWarm)
+{
+    std::vector<std::string> specs = PrefetcherRegistry::global().names();
+    ASSERT_EQ(specs.size(), 13u);
+    specs.push_back("morrigan-mono+sp");
+    constexpr int warm = 20'000, after = 5'000;
+    for (const std::string &spec : specs) {
+        SCOPED_TRACE(spec);
+        auto a = makePrefetcher(spec);
+        ASSERT_NE(a, nullptr);
+        MissStream stream(0xC0FFEE);
+        for (int i = 0; i < warm; ++i)
+            stream.step(*a);
+
+        const std::string image = savePayload(*a);
+        auto b = makePrefetcher(spec);
+        ASSERT_NO_THROW(loadPayload(*b, image));
+        EXPECT_EQ(savePayload(*b), image) << "re-saved bytes differ";
+
+        // The restored engine sees a copy of the stream: the same
+        // misses and the same credit draws.
+        MissStream twin = stream;
+        for (int i = 0; i < after; ++i) {
+            const auto out_a = stream.step(*a);
+            const auto out_b = twin.step(*b);
+            ASSERT_EQ(out_a.size(), out_b.size()) << "miss " << i;
+            for (std::size_t k = 0; k < out_a.size(); ++k) {
+                EXPECT_EQ(out_a[k].vpn, out_b[k].vpn) << "miss " << i;
+                EXPECT_EQ(out_a[k].spatial, out_b[k].spatial);
+                EXPECT_EQ(out_a[k].tag.producer, out_b[k].tag.producer);
+                EXPECT_EQ(out_a[k].tag.table, out_b[k].tag.table);
+                EXPECT_EQ(out_a[k].tag.sourcePage,
+                          out_b[k].tag.sourcePage);
+                EXPECT_EQ(out_a[k].tag.distance, out_b[k].tag.distance);
+            }
+        }
+        EXPECT_EQ(savePayload(*a), savePayload(*b));
+    }
 }

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <unordered_set>
+#include <vector>
 
+#include "archive_util.hh"
 #include "common/logging.hh"
 #include "workload/server_workload.hh"
 #include "workload/workload_factory.hh"
@@ -144,6 +147,42 @@ TEST(ServerWorkload, PhaseChangeMidDeviationStaysInBounds)
             << "record " << i << ": pc page " << vpn << " unmapped";
     }
     EXPECT_GE(a.phaseChanges(), 1u);
+}
+
+TEST(ServerWorkload, ResumeAcrossPhaseChangeMidDeviation)
+{
+    // The same seed as above: around record 2,000,005 the running
+    // request's path is shorter than the path position next()
+    // carries. Every image in that window must restore and replay
+    // the exact record stream the uninterrupted generator produced.
+    ServerWorkloadParams p = qmmWorkloadParams(43);
+    p.seed = 16929568105644185409ULL;
+    constexpr std::size_t first = 2'000'000, count = 101;
+    constexpr std::size_t replay = 10'000;
+    ServerWorkload a(p);
+    for (std::size_t i = 0; i < first; ++i)
+        a.next();
+    std::vector<std::string> images;
+    std::vector<TraceRecord> expect;
+    for (std::size_t i = 0; i < count + replay; ++i) {
+        if (i < count)
+            images.push_back(savePayload(a));
+        expect.push_back(a.next());
+    }
+    for (std::size_t k = 0; k < count; ++k) {
+        ServerWorkload b(p);
+        ASSERT_NO_THROW(loadPayload(b, images[k]))
+            << "record " << first + k;
+        for (std::size_t i = 0; i < replay; ++i) {
+            const TraceRecord rb = b.next();
+            const TraceRecord &ra = expect[k + i];
+            ASSERT_EQ(rb.pc, ra.pc) << "image " << first + k << " +" << i;
+            ASSERT_EQ(rb.hasData, ra.hasData)
+                << "image " << first + k << " +" << i;
+            ASSERT_EQ(rb.dataAddr, ra.dataAddr)
+                << "image " << first + k << " +" << i;
+        }
+    }
 }
 
 TEST(ServerWorkload, ZeroPhaseIntervalDisablesPhases)

@@ -25,12 +25,13 @@
 #include <string>
 #include <vector>
 
+#include "archive_util.hh"
 #include "common/rng.hh"
 #include "common/snapshot.hh"
 #include "common/zipf.hh"
-#include "core/prefetcher_registry.hh"
 #include "core/frequency_stack.hh"
 #include "core/prediction_table.hh"
+#include "core/prefetcher_registry.hh"
 #include "mem/cache_model.hh"
 #include "sim/interval_sampler.hh"
 #include "sim/result_cache.hh"
@@ -239,16 +240,14 @@ TEST(Snapshot, RngMidStreamResume)
     for (int i = 0; i < 1000; ++i)
         (void)rng.next32();
 
-    SnapshotWriter w;
-    rng.save(w);
+    const std::string image = savePayload(rng);
 
     std::vector<std::uint64_t> expect;
     for (int i = 0; i < 1000; ++i)
         expect.push_back(rng.next64());
 
     Rng resumed(1, 2); // deliberately different seed
-    SnapshotReader r = SnapshotReader::fromPayload(w.payload());
-    resumed.restore(r);
+    loadPayload(resumed, image);
     for (int i = 0; i < 1000; ++i)
         ASSERT_EQ(resumed.next64(), expect[i]) << "draw " << i;
 }
@@ -260,8 +259,7 @@ TEST(Snapshot, ZipfSamplerMidStreamResume)
     for (int i = 0; i < 500; ++i)
         (void)zipf.sample(rng);
 
-    SnapshotWriter w;
-    rng.save(w);
+    const std::string image = savePayload(rng);
 
     std::vector<std::size_t> expect;
     for (int i = 0; i < 500; ++i)
@@ -271,8 +269,7 @@ TEST(Snapshot, ZipfSamplerMidStreamResume)
     // RNG carries stream position.
     ZipfSampler zipf2(5000, 0.7);
     Rng rng2;
-    SnapshotReader r = SnapshotReader::fromPayload(w.payload());
-    rng2.restore(r);
+    loadPayload(rng2, image);
     for (int i = 0; i < 500; ++i)
         ASSERT_EQ(zipf2.sample(rng2), expect[i]) << "draw " << i;
 }
@@ -306,10 +303,11 @@ TEST(Snapshot, RlfuVictimSelectionMidStreamResume)
         step(prt, freq, drive, warm);
 
     SnapshotWriter w;
-    rng.save(w);
-    freq.save(w);
-    prt.save(w);
-    drive.save(w);
+    Archive save(w);
+    rng.visit(save);
+    freq.visit(save);
+    prt.visit(save);
+    drive.visit(save);
 
     std::vector<Vpn> expect;
     for (int i = 0; i < 2000; ++i)
@@ -320,10 +318,12 @@ TEST(Snapshot, RlfuVictimSelectionMidStreamResume)
     PredictionTable prt2(geom, ReplacementPolicy::Rlfu, freq2, rng2);
     Rng drive2;
     SnapshotReader r = SnapshotReader::fromPayload(w.payload());
-    rng2.restore(r);
-    freq2.restore(r);
-    prt2.restore(r);
-    drive2.restore(r);
+    Archive load(r);
+    rng2.visit(load);
+    freq2.visit(load);
+    prt2.visit(load);
+    drive2.visit(load);
+    r.finish();
 
     std::vector<Vpn> got;
     for (int i = 0; i < 2000; ++i)
@@ -445,8 +445,7 @@ TEST(Snapshot, CheckedRunsRefuseToSnapshot)
     ServerWorkload trace(qmmWorkloadParams(0));
     Simulator sim(cfg);
     sim.attachWorkload(&trace, 0);
-    SnapshotWriter w;
-    EXPECT_THROW(sim.save(w), SnapshotError);
+    EXPECT_THROW(savePayload(sim), SnapshotError);
 }
 
 // ---------------------------------------------------------------
@@ -626,15 +625,10 @@ TEST(Snapshot, CacheModelLaneLayoutRoundTrip)
             a.insert(line, rng.chance(0.4));
     }
 
-    SnapshotWriter w1;
-    a.save(w1);
+    const std::string image = savePayload(a);
     CacheModel b(params);
-    SnapshotReader r = SnapshotReader::fromPayload(w1.payload());
-    b.restore(r);
-
-    SnapshotWriter w2;
-    b.save(w2);
-    EXPECT_EQ(w1.payload(), w2.payload());
+    loadPayload(b, image);
+    EXPECT_EQ(savePayload(b), image);
 
     // Same op sequence on both => same hits and same victims.
     for (int i = 0; i < 5000; ++i) {
@@ -673,15 +667,10 @@ TEST(Snapshot, IntervalSamplerRingWrapRoundTrip)
     EXPECT_EQ(a.samples().front().epoch, 12u);
     EXPECT_EQ(a.samples().back().epoch, 19u);
 
-    SnapshotWriter w1;
-    a.save(w1);
+    const std::string image = savePayload(a);
     IntervalSampler b(1000, 8);
-    SnapshotReader r = SnapshotReader::fromPayload(w1.payload());
-    b.restore(r);
-
-    SnapshotWriter w2;
-    b.save(w2);
-    EXPECT_EQ(w1.payload(), w2.payload());
+    loadPayload(b, image);
+    EXPECT_EQ(savePayload(b), image);
 
     std::ostringstream ja, jb;
     a.writeRingJson(ja);
@@ -716,37 +705,46 @@ struct FormatCase
     bool smt = false;
     ServerWorkloadParams smtWorkload{};
     ICachePrefKind icachePref = ICachePrefKind::NextLine;
+    PageTableFormat pageTable = PageTableFormat::Radix;
+    unsigned pageTableDepth = 4;
     bool observe = false;
-    std::uint64_t payloadSize;
-    std::uint32_t payloadCrc;
 };
 
-/** Run @p c to its warmup boundary and return the image payload. */
-std::string
-warmupPayload(const FormatCase &c)
+/** A simulator wired for @p c, plus everything it borrows. */
+struct FormatRig
 {
-    SimConfig cfg;
-    cfg.warmupInstructions = 40'000;
-    cfg.simInstructions = 1;
-    cfg.icachePref = c.icachePref;
-    auto pf = makePrefetcher(c.prefetcher);
-    ServerWorkload trace(c.workload);
-    std::unique_ptr<ServerWorkload> smt_trace;
-    Simulator sim(cfg);
-    sim.attachWorkload(&trace, 0);
-    if (c.smt) {
-        smt_trace = std::make_unique<ServerWorkload>(c.smtWorkload);
-        sim.attachWorkload(smt_trace.get(), 1);
-    }
-    if (pf)
-        sim.attachPrefetcher(pf.get());
-    if (c.observe)
-        sim.enableIntervalSampler(10'000); // implies the tracer
-    FileGuard f(tempPath(std::string("format-") + c.label + ".snap"));
-    sim.setWarmupImagePath(f.path());
-    (void)sim.run();
+    std::unique_ptr<TlbPrefetcher> pf;
+    std::unique_ptr<ServerWorkload> trace, smtTrace;
+    std::unique_ptr<Simulator> sim;
 
-    std::ifstream ifs(f.path(), std::ios::binary);
+    explicit FormatRig(const FormatCase &c)
+    {
+        SimConfig cfg;
+        cfg.warmupInstructions = 40'000;
+        cfg.simInstructions = 1;
+        cfg.icachePref = c.icachePref;
+        cfg.pageTableFormat = c.pageTable;
+        cfg.pageTableDepth = c.pageTableDepth;
+        pf = makePrefetcher(c.prefetcher);
+        trace = std::make_unique<ServerWorkload>(c.workload);
+        sim = std::make_unique<Simulator>(cfg);
+        sim->attachWorkload(trace.get(), 0);
+        if (c.smt) {
+            smtTrace = std::make_unique<ServerWorkload>(c.smtWorkload);
+            sim->attachWorkload(smtTrace.get(), 1);
+        }
+        if (pf)
+            sim->attachPrefetcher(pf.get());
+        if (c.observe)
+            sim->enableIntervalSampler(10'000); // implies the tracer
+    }
+};
+
+/** The payload of the snapshot image at @p path (header dropped). */
+std::string
+imagePayload(const std::string &path)
+{
+    std::ifstream ifs(path, std::ios::binary);
     std::string image((std::istreambuf_iterator<char>(ifs)),
                       std::istreambuf_iterator<char>());
     constexpr std::size_t header_bytes = 40;
@@ -781,9 +779,17 @@ TEST(Snapshot, PayloadMatchesParentFormat)
     add("fnl-mma", "morrigan", qmmWorkloadParams(4)).icachePref =
         ICachePrefKind::FnlMma;
     add("observed", "morrigan", qmmWorkloadParams(6)).observe = true;
+    add("hashed-pt", "morrigan", qmmWorkloadParams(8)).pageTable =
+        PageTableFormat::Hashed;
+    {
+        ServerWorkloadParams thp = qmmWorkloadParams(9);
+        thp.dataHugePages = true;
+        add("thp-pt5", "morrigan", thp).pageTableDepth = 5;
+    }
 
     // Recorded by running this test against the tree before the
-    // save/restore pairs were folded into visit(Archive&).
+    // per-component save/restore pairs were folded into
+    // visit(Archive&).
     const std::vector<std::pair<std::uint64_t, std::uint32_t>> pinned = {
         {443747, 0x8EE7CD7Bu}, // morrigan-qmm
         {401763, 0x7E815DC4u}, // spec
@@ -792,13 +798,27 @@ TEST(Snapshot, PayloadMatchesParentFormat)
         {472771, 0xB467214Du}, // mp-unbounded
         {496028, 0xFAAB7E2Cu}, // fnl-mma
         {427080, 0x4234EA30u}, // observed
+        {8817952, 0xEB390AE6u}, // hashed-pt
+        {461417, 0xBB497874u}, // thp-pt5
     };
     ASSERT_EQ(pinned.size(), cases.size());
     for (std::size_t i = 0; i < cases.size(); ++i) {
-        const std::string payload = warmupPayload(cases[i]);
+        const FormatCase &c = cases[i];
+        FileGuard f(tempPath(std::string("format-") + c.label + ".snap"));
+        FormatRig producer(c);
+        producer.sim->setWarmupImagePath(f.path());
+        (void)producer.sim->run();
+        const std::string payload = imagePayload(f.path());
         const std::uint32_t crc =
             crc32(payload.data(), payload.size());
-        EXPECT_EQ(payload.size(), pinned[i].first) << cases[i].label;
-        EXPECT_EQ(crc, pinned[i].second) << cases[i].label;
+        EXPECT_EQ(payload.size(), pinned[i].first) << c.label;
+        EXPECT_EQ(crc, pinned[i].second) << c.label;
+
+        // The load half reads the same format: restoring the image
+        // and saving again reproduces it byte for byte.
+        FormatRig consumer(c);
+        consumer.sim->restoreCheckpoint(f.path());
+        consumer.sim->saveCheckpoint(f.path());
+        EXPECT_EQ(imagePayload(f.path()), payload) << c.label;
     }
 }
